@@ -190,21 +190,6 @@ assert logs_auto["resolved_stride"] == 8, logs_auto
 print("bench smoke:", len(doc["rows"]), "sweep rows")
 EOF
 
-# Partition bench smoke: the strategy sweep must run end to end and
-# emit both the stage rows and the kernel radix_bits sweep rows.
-python benchmarks/bench_partition.py --bytes 65536 --repeats 1 \
-    --out "$OBS_TMP/bench_partition.json" > /dev/null
-python - "$OBS_TMP/bench_partition.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-strategies = {r["strategy"] for r in doc["stage_rows"]}
-assert {"radix", "field-run", "auto"} <= strategies, strategies
-bits = {r["radix_bits"] for r in doc["kernel_rows"]}
-assert {1, 2, 4, 8, None} <= bits, bits
-print("partition bench smoke:", len(doc["stage_rows"]), "stage rows,",
-      len(doc["kernel_rows"]), "kernel rows")
-EOF
-
 # Columnar bench smoke: the export sweep must run end to end and emit
 # fused/copy path rows with the zero-copy counters.
 python benchmarks/bench_columnar_export.py --bytes 65536 --repeats 1 \
@@ -344,5 +329,11 @@ assert not failures, failures
 print("serve smoke: 3 concurrent clients, 1 admission reject, "
       "bit-identical payloads, clean drain")
 EOF
+
+# End-to-end benchmark smoke: every workload (library serial and the
+# served sharded path) on 64 KiB inputs; exits non-zero when any output
+# check fails.
+python3 benchmarks/e2e/run.py --workload all --smoke > /dev/null
+echo "e2e bench smoke: all workloads correct"
 
 python -m pytest "$@"

@@ -52,6 +52,15 @@ class Chunking:
     num_chunks: int
     padding: int
 
+    @classmethod
+    def of(cls, input_bytes: int, chunk_size: int) -> Chunking:
+        """The grid cutting ``input_bytes`` into ``chunk_size`` chunks
+        (at least one, the last padded)."""
+        num_chunks = max(1, -(-input_bytes // chunk_size))
+        return cls(input_bytes=input_bytes, chunk_size=chunk_size,
+                   num_chunks=num_chunks,
+                   padding=num_chunks * chunk_size - input_bytes)
+
 
 def chunk_groups(data: np.ndarray, dfa: Dfa,
                  chunk_size: int) -> tuple[np.ndarray, Chunking, Dfa]:
@@ -80,14 +89,12 @@ def chunk_groups(data: np.ndarray, dfa: Dfa,
     padded_dfa = dfa.with_padding_group()
     pad_group = padded_dfa.num_groups - 1
     n = data.size
-    num_chunks = max(1, -(-n // chunk_size))
-    padding = num_chunks * chunk_size - n
-    groups_flat = np.empty(num_chunks * chunk_size, dtype=np.uint8)
+    chunking = Chunking.of(n, chunk_size)
+    groups_flat = np.empty(chunking.num_chunks * chunk_size, dtype=np.uint8)
     groups_flat[:n] = dfa.symbol_groups[data]
     groups_flat[n:] = pad_group
-    chunking = Chunking(input_bytes=n, chunk_size=chunk_size,
-                        num_chunks=num_chunks, padding=padding)
-    return groups_flat.reshape(num_chunks, chunk_size), chunking, padded_dfa
+    return (groups_flat.reshape(chunking.num_chunks, chunk_size), chunking,
+            padded_dfa)
 
 
 def chunk_groups_canonical(

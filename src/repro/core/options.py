@@ -61,17 +61,16 @@ class PartitionStrategy(Enum):
       per-symbol column tags (histogram → prefix sum → stable
       scatter, one pass per digit).  GPU-shaped; on the vectorised
       executor each pass costs ``2**radix_bits`` array sweeps.
-    * ``FIELD_RUN`` — run-length encodes the tag sequence into per-field
-      runs, stable-counting-sorts the *runs* by column id
-      (``num_fields ≪ n``) and materialises the CSSs with one
-      ``np.repeat``-based segment gather: ``O(n + num_fields)`` total.
+    * ``FIELD_RUN`` — takes each delimiter segment's retained symbols as
+      one run keyed by the segment's column tag, stable-counting-sorts
+      the *runs* by column id (``num_fields ≪ n``) and materialises the
+      CSSs with one segment gather: ``O(n + num_fields)`` total.
       Bit-identical to the radix sort, including the stable ``order``
-      permutation.
+      permutation (derived on demand).
 
     ``ParseOptions.partition_strategy = None`` (the default) selects
-    automatically: field-run whenever the tagging stage materialised the
-    per-delimiter position arrays (the run-structured GLOBAL path),
-    radix as the GPU-faithful fallback (e.g. ``TaggingImpl.CHUNKED``).
+    automatically: field-run with the production ``TaggingImpl.GLOBAL``
+    tagger, radix with the paper-faithful ``TaggingImpl.CHUNKED`` one.
     """
 
     RADIX = "radix"
@@ -138,9 +137,8 @@ class ParseOptions:
     partition_strategy:
         How phase 3a brings each column's symbols together
         (:class:`PartitionStrategy`).  ``None`` (default) picks
-        field-run when the tags arrived run-structured (per-delimiter
-        position arrays available), radix otherwise; both produce
-        bit-identical partitions.
+        field-run under global tagging and radix under chunked tagging;
+        both produce bit-identical partitions.
     inline_terminator:
         Terminator byte for ``TaggingMode.INLINE``.
     column_count_policy:
@@ -247,10 +245,9 @@ class ParseOptions:
         if self.partition_strategy is PartitionStrategy.FIELD_RUN \
                 and self.tagging_impl is TaggingImpl.CHUNKED:
             raise ParseError(
-                "partition_strategy='field-run' requires the per-delimiter "
-                "position arrays only TaggingImpl.GLOBAL materialises; "
-                "use partition_strategy='radix' (or None for auto) with "
-                "chunked tagging")
+                "partition_strategy='field-run' pairs with "
+                "TaggingImpl.GLOBAL; the paper-faithful chunked tagger "
+                "runs with partition_strategy='radix' (or None for auto)")
         if self.kernel_stride is not None and self.kernel_stride > 1:
             automaton = self._sweep_dfa()
             need = plan_nbytes(automaton.num_groups, automaton.num_states,

@@ -18,23 +18,22 @@ digit value, in input order, *are* its stable ranks), which stands in for
 the prefix-sum-based ranking a GPU implementation performs.
 
 **Field-run segment gather** (:func:`partition_field_runs`) — the
-vectorised-executor formulation.  Column tags arrive in contiguous
-per-field runs (they only change at delimiters), so instead of paying
-per-symbol sort work the runs are encoded once, the *runs* are
-stable-counting-sorted by column id (``num_fields ≪ n``), and the CSS,
-record tags and ``order`` permutation are materialised with a single
-``np.repeat``-based segment gather: ``O(n + num_fields)`` total work.
-The result is bit-identical to the radix sort — same
-:class:`PartitionResult`, including the stable ``order`` permutation —
-which the parity suite in ``tests/core/test_partition.py`` and the
-pipeline-level sweep in ``tests/core/test_partition_parity.py`` enforce.
+vectorised-executor formulation.  Phase 2 hands over its tags per
+delimiter segment (they only change at delimiters), so instead of paying
+per-symbol sort work each segment's retained symbols form one run, the
+*runs* are stable-counting-sorted by column id (``num_fields ≪ n``), and
+the CSS is materialised with a single segment gather from the compacted
+retained symbols: ``O(n + num_fields)`` total work, and no per-symbol
+tag array at all.  The result is bit-identical to the radix sort over
+the expanded tags — the record tags and stable ``order`` permutation are
+derived on demand — which the parity suite in
+``tests/core/test_partition.py`` and the pipeline-level sweep in
+``tests/core/test_partition_parity.py`` enforce.
 """
 
 from __future__ import annotations
 
 # parlint: hot-path -- byte-bound pipeline phase; loops need waivers
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,7 +134,6 @@ def _stable_counting_sort(keys: np.ndarray, num_values: int
     return perm, offsets
 
 
-@dataclass
 class PartitionResult:
     """The columnar symbol layout after partitioning.
 
@@ -144,16 +142,20 @@ class PartitionResult:
     css:
         All retained symbols, column-partitioned: column ``c``'s CSS is
         ``css[column_offsets[c]:column_offsets[c + 1]]``.
-    record_tags:
-        Record tag of each CSS symbol (same layout).
     column_offsets:
         ``(num_columns + 1,)`` int64 CSS boundaries (from the histogram).
     num_columns:
         Number of columns partitioned.
+    record_tags:
+        Record tag of each CSS symbol (same layout).  The radix sort
+        builds it; the field-run strategy derives it from the field
+        geometry on first access.
     order:
         Original input position of each CSS symbol (the applied stable
         permutation) — lets callers gather any per-position payload into
         CSS layout (the inline/delimited modes gather the delimiter mask).
+        Built by the radix sort, derived on first access on the field-run
+        path, and ``None`` when neither applies.
     num_field_runs:
         Diagnostic metadata: how many contiguous field runs the field-run
         strategy gathered (``None`` on the radix path, which never counts
@@ -161,8 +163,7 @@ class PartitionResult:
         which covers ``css``/``record_tags``/``column_offsets``/``order``.
     field_records / field_starts / field_lengths / field_bounds:
         Per-field geometry read directly off the segment gather, present
-        only when the field-run strategy partitioned from the tagging
-        stage's ``delim_positions`` (where one run is exactly one
+        only on the field-run path (where one run is exactly one
         non-empty field).  Sorted-run ``j`` is a field starting at CSS
         position ``field_starts[j]`` with ``field_lengths[j]`` symbols of
         record ``field_records[j]``; column ``c``'s fields are the slice
@@ -171,18 +172,49 @@ class PartitionResult:
         index from here instead of re-deriving it with a per-symbol RLE,
         and a column's CSS *is* already an Arrow string column
         (:meth:`column_view`).
+    field_sources / keep:
+        Where sorted-run ``j`` starts among the retained symbols, and the
+        keep mask that selected them: what :attr:`order` is derived from.
     """
 
-    css: np.ndarray
-    record_tags: np.ndarray
-    column_offsets: np.ndarray
-    num_columns: int
-    order: np.ndarray | None = None
-    num_field_runs: int | None = None
-    field_records: np.ndarray | None = None
-    field_starts: np.ndarray | None = None
-    field_lengths: np.ndarray | None = None
-    field_bounds: np.ndarray | None = None
+    def __init__(self, css: np.ndarray, column_offsets: np.ndarray,
+                 num_columns: int, *, record_tags: np.ndarray | None = None,
+                 order: np.ndarray | None = None,
+                 num_field_runs: int | None = None,
+                 field_records: np.ndarray | None = None,
+                 field_starts: np.ndarray | None = None,
+                 field_lengths: np.ndarray | None = None,
+                 field_bounds: np.ndarray | None = None,
+                 field_sources: np.ndarray | None = None,
+                 keep: np.ndarray | None = None):
+        self.css = css
+        self.column_offsets = column_offsets
+        self.num_columns = num_columns
+        self._record_tags = record_tags
+        self._order = order
+        self.num_field_runs = num_field_runs
+        self.field_records = field_records
+        self.field_starts = field_starts
+        self.field_lengths = field_lengths
+        self.field_bounds = field_bounds
+        self.field_sources = field_sources
+        self.keep = keep
+
+    @property
+    def record_tags(self) -> np.ndarray | None:
+        if self._record_tags is None and self.field_records is not None:
+            self._record_tags = np.repeat(self.field_records,
+                                          self.field_lengths)
+        return self._record_tags
+
+    @property
+    def order(self) -> np.ndarray | None:
+        if self._order is None and self.keep is not None:
+            kept = np.flatnonzero(self.keep)
+            self._order = kept[_segment_gather(
+                self.field_sources, self.field_lengths, self.field_starts,
+                kept.size)]
+        return self._order
 
     @property
     def has_field_geometry(self) -> bool:
@@ -208,9 +240,8 @@ class PartitionResult:
         """Column ``c``'s ``(records, offsets, lengths)`` field geometry.
 
         Offsets are relative to :meth:`column_css`.  Requires
-        :attr:`has_field_geometry` (the ``delim_positions`` field-run
-        path); callers without it re-derive the index from the record
-        tags.
+        :attr:`has_field_geometry` (the field-run path); callers without
+        it re-derive the index from the record tags.
         """
         if self.field_bounds is None:
             raise ParseError("partition carries no field geometry")
@@ -243,14 +274,6 @@ class PartitionResult:
         return values, offsets
 
 
-def _check_partition_inputs(data: np.ndarray, keep_mask: np.ndarray,
-                            column_ids: np.ndarray,
-                            record_ids: np.ndarray) -> None:
-    if not (data.shape == keep_mask.shape == column_ids.shape
-            == record_ids.shape):
-        raise ParseError("partition inputs must share one shape")
-
-
 def partition_by_column(data: np.ndarray, keep_mask: np.ndarray,
                         column_ids: np.ndarray, record_ids: np.ndarray,
                         num_columns: int,
@@ -272,7 +295,9 @@ def partition_by_column(data: np.ndarray, keep_mask: np.ndarray,
     radix_bits:
         Digit width for the radix sort.
     """
-    _check_partition_inputs(data, keep_mask, column_ids, record_ids)
+    if not (data.shape == keep_mask.shape == column_ids.shape
+            == record_ids.shape):
+        raise ParseError("partition inputs must share one shape")
     kept = np.flatnonzero(keep_mask)
     keys = column_ids[kept]
     if keys.size and int(keys.max()) >= num_columns:
@@ -291,72 +316,75 @@ def partition_by_column(data: np.ndarray, keep_mask: np.ndarray,
                            num_columns=num_columns, order=order)
 
 
+def _index_dtype(size: int) -> type:
+    """The narrowest of int32/int64 indexing ``size`` positions."""
+    return np.int32 if size < np.iinfo(np.int32).max else np.int64
+
+
+def _segment_gather(sources: np.ndarray, lengths: np.ndarray,
+                    starts: np.ndarray, total: int) -> np.ndarray:
+    """Source index of every output position of a run-wise copy.
+
+    Output run ``j`` (``lengths[j] > 0`` symbols at ``starts[j]``, runs
+    tiling ``[0, total)``) reads ``sources[j]`` onwards.  Built as a
+    running sum of steps that are one inside a run and jump at run
+    starts, in int32 whenever the indexes fit — no per-symbol int64
+    array.
+    """
+    index = np.ones(total, dtype=_index_dtype(total))
+    if total:
+        index[0] = sources[0]
+        index[starts[1:]] = sources[1:] - sources[:-1] - lengths[:-1] + 1
+        np.cumsum(index, out=index)
+    return index
+
+
 def partition_field_runs(data: np.ndarray, keep_mask: np.ndarray,
-                         column_ids: np.ndarray, record_ids: np.ndarray,
-                         num_columns: int,
-                         delim_positions: np.ndarray | None = None
-                         ) -> PartitionResult:
-    """Partition via run-length encoding + one stable segment gather.
+                         delim_positions: np.ndarray,
+                         segment_columns: np.ndarray,
+                         segment_records: np.ndarray,
+                         num_columns: int) -> PartitionResult:
+    """Partition per-segment tags via one stable segment gather.
 
-    Bit-identical to :func:`partition_by_column` (same CSS, record tags,
-    offsets and stable ``order`` permutation) in ``O(n + num_fields)``:
+    Bit-identical to :func:`partition_by_column` over the segment tags
+    expanded per symbol (same CSS, record tags, offsets and stable
+    ``order`` permutation, the last two derived on demand) in
+    ``O(n + num_fields)``:
 
-    1. encode the retained positions' column-tag sequence as contiguous
-       runs — either from ``delim_positions`` (the tagging stage's
-       per-delimiter position arrays; ``O(num_fields · log n)`` with no
-       per-symbol key gather at all) or, when they are unavailable, by a
-       vectorised change-detection sweep over the gathered keys;
+    1. count each segment's retained symbols from a running count of the
+       keep mask sampled at the segment ends; the non-empty segments are
+       the runs, keyed by their segment's column tag;
     2. stable-counting-sort the *runs* by column id
        (:func:`_stable_counting_sort`, ``num_fields ≪ n`` items);
-    3. materialise ``order`` with one ``np.repeat``-based segment gather
-       (run starts repeated by run lengths plus intra-run ``arange``
-       offsets), then gather ``css`` and ``record_tags`` through it.
+    3. compact the retained symbols once (``data[keep_mask]``) and
+       segment-gather the CSS from that buffer.
 
     Parameters
     ----------
     delim_positions:
-        Ascending positions at which a delimiter (record or field)
-        occurs.  The column tags must be constant on every segment
-        between consecutive delimiters — exactly what phase 2 guarantees
-        (a delimiter carries the column of the field it terminates; the
-        next position starts the following field).  ``None`` derives the
-        run boundaries from ``column_ids`` directly, which is correct
-        for *any* tag sequence.
+        ``(m,)`` ascending segment boundaries: segment ``j`` runs from
+        just after ``delim_positions[j - 1]`` up to and including
+        ``delim_positions[j]``, the last one to the end of ``data``
+        (:func:`~repro.core.tagging.segment_lengths`).
+    segment_columns / segment_records:
+        ``(m + 1,)`` column and record tag of every symbol of each
+        segment — what phase 2 produces.
     """
-    _check_partition_inputs(data, keep_mask, column_ids, record_ids)
-    kept = np.flatnonzero(keep_mask)
-    total = kept.size
-
-    if delim_positions is not None:
-        # Segment j spans [seg_starts[j], seg_starts[j+1]) in input
-        # space; its retained positions are a contiguous slice of
-        # ``kept`` located by binary search — no per-symbol key gather.
-        seg_starts = np.empty(delim_positions.size + 1, dtype=np.int64)
-        seg_starts[0] = 0
-        seg_starts[1:] = delim_positions
-        seg_starts[1:] += 1
-        bounds = np.searchsorted(kept, seg_starts)
-        lengths = np.empty(bounds.size, dtype=np.int64)
-        lengths[:-1] = np.diff(bounds)
-        lengths[-1] = total - bounds[-1]
-        nonempty = lengths > 0
-        run_starts = bounds[nonempty]
-        run_lengths = lengths[nonempty]
-    elif total:
-        boundary = np.empty(total, dtype=bool)
-        boundary[0] = True
-        keys = column_ids[kept]
-        np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-        run_starts = np.flatnonzero(boundary)
-        run_lengths = np.empty(run_starts.size, dtype=np.int64)
-        run_lengths[:-1] = np.diff(run_starts)
-        if run_lengths.size:
-            run_lengths[-1] = total - run_starts[-1]
+    if data.shape != keep_mask.shape \
+            or segment_columns.shape != segment_records.shape \
+            or segment_columns.size != delim_positions.size + 1:
+        raise ParseError("partition inputs must share one shape")
+    n = data.size
+    if n:
+        # Retained symbols up to and including each segment's last one.
+        retained = np.cumsum(keep_mask, dtype=_index_dtype(n))[
+            np.append(delim_positions, n - 1)]
+        counts = np.diff(retained, prepend=0)
     else:
-        run_starts = np.empty(0, dtype=np.int64)
-        run_lengths = np.empty(0, dtype=np.int64)
-
-    run_keys = column_ids[kept[run_starts]]
+        counts = np.zeros(segment_columns.size, dtype=np.int64)
+    runs = np.flatnonzero(counts)
+    run_lengths = counts[runs].astype(np.int64)
+    run_keys = segment_columns[runs]
     if run_keys.size:
         if int(run_keys.min()) < 0:
             raise ParseError("partition requires non-negative column tags")
@@ -366,48 +394,26 @@ def partition_field_runs(data: np.ndarray, keep_mask: np.ndarray,
 
     perm_runs, run_starts_of_key = _stable_counting_sort(run_keys,
                                                          num_columns)
-    sorted_starts = run_starts[perm_runs]
-    sorted_lengths = run_lengths[perm_runs]
-
-    # Segment gather: output position p inside sorted run j reads
-    # kept[sorted_starts[j] + (p - out_starts[j])]; repeating
-    # (start - out_start) per run and adding a global arange yields every
-    # source index in one vectorised sweep.
-    out_starts = exclusive_sum(sorted_lengths)
-    gather = np.repeat(sorted_starts - out_starts, sorted_lengths)
-    gather += np.arange(total, dtype=np.int64)
-    order = kept[gather]
-    css = data[order]
-    record_tags = record_ids[order]
+    sources = exclusive_sum(run_lengths)[perm_runs]
+    lengths = run_lengths[perm_runs]
+    starts = exclusive_sum(lengths)
+    total = int(run_lengths.sum())
+    css = data[keep_mask][_segment_gather(sources, lengths, starts, total)]
 
     # CSS boundaries without a per-symbol histogram: column c's CSS
     # starts where its first sorted run starts, i.e. the run-length
     # prefix sum evaluated at the counting sort's per-key offsets.
-    out_bounds = np.empty(perm_runs.size + 1, dtype=np.int64)
-    out_bounds[:-1] = out_starts
-    out_bounds[-1] = total
+    out_bounds = np.append(starts, total)
     column_offsets = np.empty(num_columns + 1, dtype=np.int64)
     column_offsets[:-1] = out_bounds[run_starts_of_key]
     column_offsets[-1] = total
-
-    # On the delim_positions path every sorted run is exactly one
-    # non-empty field, so the run geometry *is* the per-column field
-    # index — expose it and spare the convert stage its per-symbol RLE.
-    # (The boundary-detect fallback may merge adjacent same-column runs
-    # across records, e.g. single-column data, so it stays geometry-free.)
-    field_records = field_bounds = None
-    if delim_positions is not None:
-        field_records = record_tags[out_starts]
-        field_bounds = np.empty(num_columns + 1, dtype=np.int64)
-        field_bounds[:-1] = run_starts_of_key
-        field_bounds[-1] = perm_runs.size
-    return PartitionResult(css=css, record_tags=record_tags,
-                           column_offsets=column_offsets,
-                           num_columns=num_columns, order=order,
+    # Every sorted run is exactly one non-empty field, so the run
+    # geometry *is* the per-column field index.
+    field_bounds = np.append(run_starts_of_key, perm_runs.size)
+    return PartitionResult(css=css, column_offsets=column_offsets,
+                           num_columns=num_columns,
                            num_field_runs=int(run_keys.size),
-                           field_records=field_records,
-                           field_starts=out_starts
-                           if field_bounds is not None else None,
-                           field_lengths=sorted_lengths
-                           if field_bounds is not None else None,
-                           field_bounds=field_bounds)
+                           field_records=segment_records[runs][perm_runs],
+                           field_starts=starts, field_lengths=lengths,
+                           field_bounds=field_bounds,
+                           field_sources=sources, keep=keep_mask)

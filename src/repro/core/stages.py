@@ -53,8 +53,8 @@ from repro.core.options import (
 from repro.core.partition import PartitionResult, partition_by_column, \
     partition_field_runs
 from repro.core.selection import prune_rows, row_mapping, selected_column_mask
-from repro.core.tagging import TagResult, compute_emissions, tag_chunked, \
-    tag_global
+from repro.core.tagging import TagResult, compute_emissions, \
+    segment_lengths, tag_chunked, tag_global
 from repro.core.tagging_modes import build_keep_mask, column_indexes, \
     prepare_css
 from repro.core.typeinfer import infer_column_type
@@ -206,20 +206,19 @@ class ValidatedInput(TaggedInput):
     rejected_records: int
     #: Input extended with the virtual trailing record delimiter.
     data_ext: np.ndarray
-    #: Per-position tags over the extended input.
-    col_ids: np.ndarray
-    rec_ids: np.ndarray
+    #: Data bitmap over the extended input.
     data_mask: np.ndarray
-    delim_mask: np.ndarray
+    #: Delimiter bitmap over the extended input; only the inline and
+    #: delimited modes read it (``None`` in the record-tagged mode).
+    delim_mask: np.ndarray | None
     #: ``(n_ext,)`` bool — positions entering the partition.
     keep: np.ndarray
-    #: Ascending delimiter positions over the extended input (including
-    #: the virtual trailing delimiter), threaded through from the
-    #: tagging stage when it materialised them; ``None`` on the
-    #: paper-faithful chunked path.  Column tags are constant between
-    #: consecutive entries — the run structure that licenses the
-    #: field-run partition strategy.
-    delim_positions: np.ndarray | None
+    #: The tagging stage's segments over the extended input: delimiter
+    #: positions (including the virtual trailing delimiter) and each
+    #: segment's record and column tag.
+    delim_positions: np.ndarray
+    segment_records: np.ndarray
+    segment_columns: np.ndarray
 
 
 @dataclass
@@ -230,8 +229,9 @@ class PartitionedInput(ValidatedInput):
     part: PartitionResult
     #: CSS after mode-specific post-processing (§4.1).
     css: np.ndarray
-    #: CSS positions holding field terminators.
-    aux_delims: np.ndarray
+    #: CSS positions holding field terminators (``None`` when
+    #: record-tagged).
+    aux_delims: np.ndarray | None
 
 
 @dataclass
@@ -430,12 +430,19 @@ class TagStage(Stage):
             final_state = int(payload.canon.state_rep[final_state])
         if ctx.metrics.enabled:
             ctx.metrics.gauge("stage.tag.stride", stride)
-        if ctx.options.tagging_impl is TaggingImpl.CHUNKED:
-            tags = tag_chunked(emissions, final_state, payload.chunking)
-        else:
-            tags = tag_global(emissions, final_state)
+        tags = self.tag(ctx.options, emissions, final_state)
         return TaggedInput(raw=payload.raw, input_bytes=payload.input_bytes,
                            tags=tags, invalid_position=invalid_position)
+
+    @staticmethod
+    def tag(options: ParseOptions, emissions: np.ndarray,
+            final_state: int) -> TagResult:
+        """Segment tags of a whole emission stream, by ``tagging_impl``."""
+        if options.tagging_impl is TaggingImpl.CHUNKED:
+            return tag_chunked(emissions, final_state,
+                               Chunking.of(emissions.size,
+                                           options.chunk_size))
+        return tag_global(emissions, final_state)
 
 
 class ValidateStage(Stage):
@@ -443,7 +450,9 @@ class ValidateStage(Stage):
 
     Everything between tagging and partitioning: the validation report,
     structural/policy record masks, the row mapping, the virtual trailing
-    delimiter, and the partition keep-mask.
+    delimiter, and the partition keep-mask.  Column selection and record
+    policies are decided per segment and expanded only into the keep
+    mask.
     """
 
     name = "validate"
@@ -471,26 +480,18 @@ class ValidateStage(Stage):
         rows_of_record, num_rows = row_mapping(valid_records)
         rejected = int(tags.num_records - num_rows)
 
-        (data_ext, col_ids, rec_ids, data_mask, delim_mask,
-         delim_positions) = self._extend_trailing(options, payload.raw,
-                                                  tags, report)
-
         mode = options.tagging_mode
-        col_ok = (col_ids < num_columns) & (col_ids >= 0)
-        col_ok &= column_mask[np.clip(col_ids, 0, max(0, num_columns - 1))] \
-            if num_columns else False
-        if tags.num_records:
-            # Positions in a trailing comment (no content after the last
-            # record delimiter) carry a record id one past the end; they
-            # are never content, so clipping is safe.
-            rec_ok = valid_records[np.clip(rec_ids, 0,
-                                           tags.num_records - 1)]
-        else:
-            rec_ok = np.zeros(col_ids.shape, dtype=bool)
         if mode is not TaggingMode.TAGGED:
             self._require_consistent_columns(report, valid_records,
                                              num_columns)
-        keep = build_keep_mask(mode, data_mask, delim_mask, col_ok, rec_ok)
+        (data_ext, data_mask, delim_mask, delim_positions, segment_records,
+         segment_columns) = self._extend_trailing(options, payload.raw,
+                                                  tags)
+        segment_ok = self._segment_ok(segment_columns, segment_records,
+                                      column_mask, valid_records)
+        symbol_ok = None if segment_ok.all() else np.repeat(
+            segment_ok, segment_lengths(delim_positions, data_ext.size))
+        keep = build_keep_mask(mode, data_mask, delim_mask, symbol_ok)
 
         return ValidatedInput(
             **payload.__dict__,
@@ -503,12 +504,12 @@ class ValidateStage(Stage):
             num_rows=num_rows,
             rejected_records=rejected,
             data_ext=data_ext,
-            col_ids=col_ids,
-            rec_ids=rec_ids,
             data_mask=data_mask,
             delim_mask=delim_mask,
             keep=keep,
             delim_positions=delim_positions,
+            segment_records=segment_records,
+            segment_columns=segment_columns,
         )
 
     def record_metrics(self, metrics, payload: ValidatedInput) -> None:
@@ -545,8 +546,7 @@ class ValidateStage(Stage):
                             dtype=np.int64)
             valid[skip] = False
         if report.invalid_position is not None and tags.num_records:
-            first_bad = int(tags.record_ids[report.invalid_position])
-            valid[first_bad:] = False
+            valid[tags.record_at(report.invalid_position):] = False
         return valid
 
     @staticmethod
@@ -566,40 +566,47 @@ class ValidateStage(Stage):
 
     @staticmethod
     def _extend_trailing(options: ParseOptions, raw: np.ndarray,
-                         tags: TagResult, report
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                    np.ndarray, np.ndarray,
-                                    np.ndarray | None]:
+                         tags: TagResult) -> tuple[np.ndarray, ...]:
         """Append a virtual record delimiter for an unterminated record.
 
         This gives the trailing record's last field a terminator, so the
         inline/delimited CSS modes need no special-casing.  The virtual
-        position is never field data.  The tagging stage's per-delimiter
-        position array (when present) is extended alongside, so the
-        partition stage sees run structure consistent with the extended
-        input.
+        position is never field data.  It closes the last segment, whose
+        tags already name the trailing record's last field, and opens one
+        more, empty segment.  Returns ``(data_ext, data_mask, delim_mask,
+        delim_positions, segment_records, segment_columns)``.
         """
-        delim_mask = tags.record_delim | tags.field_delim
+        delim_mask = None if options.tagging_mode is TaggingMode.TAGGED \
+            else tags.record_delim | tags.field_delim
         if not tags.has_trailing_record:
-            return (raw, tags.column_ids, tags.record_ids, tags.data_mask,
-                    delim_mask, tags.delim_positions)
-        last_record = tags.num_records - 1
-        last_column = int(report.field_counts[last_record]) - 1
-        data_ext = np.concatenate([
-            raw, np.array([options.dialect.record_delimiter_byte],
-                          dtype=np.uint8)])
-        col_ids = np.concatenate([tags.column_ids,
-                                  np.array([last_column], dtype=np.int64)])
-        rec_ids = np.concatenate([tags.record_ids,
-                                  np.array([last_record], dtype=np.int64)])
-        data_mask = np.concatenate([tags.data_mask, [False]])
-        delim_ext = np.concatenate([delim_mask, [True]])
-        delim_positions = tags.delim_positions
-        if delim_positions is not None:
-            delim_positions = np.concatenate([
-                delim_positions, np.array([raw.size], dtype=np.int64)])
-        return data_ext, col_ids, rec_ids, data_mask, delim_ext, \
-            delim_positions
+            return (raw, tags.data_mask, delim_mask, tags.delim_positions,
+                    tags.segment_records, tags.segment_columns)
+        data_ext = np.append(raw, np.uint8(
+            options.dialect.record_delimiter_byte))
+        if delim_mask is not None:
+            delim_mask = np.append(delim_mask, True)
+        return (data_ext, np.append(tags.data_mask, False), delim_mask,
+                np.append(tags.delim_positions, raw.size),
+                np.append(tags.segment_records, tags.num_records),
+                np.append(tags.segment_columns, 0))
+
+    @staticmethod
+    def _segment_ok(segment_columns: np.ndarray,
+                    segment_records: np.ndarray, column_mask: np.ndarray,
+                    valid_records: np.ndarray) -> np.ndarray:
+        """Segments of a selected column in a record producing a row.
+
+        Segments in a trailing comment (no content after the last record
+        delimiter) carry a record tag one past the end; they are never
+        content, so clipping is safe.
+        """
+        num_columns, num_records = column_mask.size, valid_records.size
+        if not num_columns or not num_records:
+            return np.zeros(segment_columns.size, dtype=bool)
+        ok = segment_columns < num_columns
+        ok &= column_mask[np.minimum(segment_columns, num_columns - 1)]
+        ok &= valid_records[np.minimum(segment_records, num_records - 1)]
+        return ok
 
     @staticmethod
     def _require_consistent_columns(report, valid_records: np.ndarray,
@@ -619,11 +626,10 @@ class PartitionStage(Stage):
     """Phase 3a: stable column partition + CSS post-processing (§3.3).
 
     Selects the partition strategy: ``ParseOptions.partition_strategy``
-    when set, otherwise field-run whenever the tagging stage threaded
-    per-delimiter position arrays through the payload (run-structured
-    tags), with the GPU-faithful radix sort as the fallback.  Both
-    strategies produce bit-identical :class:`PartitionResult` values, so
-    everything downstream is untouched by the choice.
+    when set, otherwise field-run under the production GLOBAL tagger and
+    the GPU-faithful radix sort under the paper-faithful CHUNKED one.
+    Both strategies produce bit-identical :class:`PartitionResult` values,
+    so everything downstream is untouched by the choice.
     """
 
     name = "partition"
@@ -632,37 +638,31 @@ class PartitionStage(Stage):
     output_type = PartitionedInput
 
     @staticmethod
-    def resolve_strategy(options: ParseOptions,
-                         delim_positions: np.ndarray | None
-                         ) -> PartitionStrategy:
-        """The strategy this parse runs with (auto = by run structure)."""
+    def resolve_strategy(options: ParseOptions) -> PartitionStrategy:
+        """The strategy this parse runs with (auto = by tagging impl)."""
         if options.partition_strategy is not None:
             return options.partition_strategy
-        return PartitionStrategy.FIELD_RUN if delim_positions is not None \
+        return PartitionStrategy.FIELD_RUN \
+            if options.tagging_impl is TaggingImpl.GLOBAL \
             else PartitionStrategy.RADIX
 
     def run(self, ctx, payload: ValidatedInput) -> PartitionedInput:
         options = ctx.options
-        strategy = self.resolve_strategy(options, payload.delim_positions)
-        if strategy is PartitionStrategy.FIELD_RUN \
-                and payload.delim_positions is None:
-            # ParseOptions rejects the known-bad combinations up front;
-            # this guards any future tagging path that drops the
-            # per-delimiter positions an explicit field-run needs.
-            raise ParseError(
-                "partition_strategy='field-run' needs the per-delimiter "
-                "position arrays, but this tagging path did not "
-                "materialise them; use partition_strategy='radix' or "
-                "None (auto)")
-        if strategy is PartitionStrategy.FIELD_RUN:
+        if self.resolve_strategy(options) is PartitionStrategy.FIELD_RUN:
             part = partition_field_runs(payload.data_ext, payload.keep,
-                                        payload.col_ids, payload.rec_ids,
-                                        payload.num_columns,
-                                        payload.delim_positions)
+                                        payload.delim_positions,
+                                        payload.segment_columns,
+                                        payload.segment_records,
+                                        payload.num_columns)
         else:
-            part = partition_by_column(payload.data_ext, payload.keep,
-                                       payload.col_ids, payload.rec_ids,
-                                       payload.num_columns)
+            # The radix sort keys every symbol: expand the segment tags.
+            lengths = segment_lengths(payload.delim_positions,
+                                      payload.data_ext.size)
+            part = partition_by_column(
+                payload.data_ext, payload.keep,
+                np.repeat(payload.segment_columns, lengths),
+                np.repeat(payload.segment_records, lengths),
+                payload.num_columns)
         css, aux_delims = prepare_css(options.tagging_mode, part,
                                       payload.delim_mask, options)
         return PartitionedInput(**payload.__dict__, part=part, css=css,

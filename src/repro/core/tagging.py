@@ -6,15 +6,21 @@ emission table: the three bitmap indexes of §3.1 (record delimiters, field
 delimiters, control symbols).  The §3.2 offset machinery then tags every
 symbol with the record and column it belongs to.
 
+Those tags only change at delimiters, so they are carried once per
+*segment* — the span from just after one delimiter up to and including the
+next — rather than once per symbol: ``O(num_fields)`` memory, expanded
+per symbol only on demand (:attr:`TagResult.record_ids`).
+
 Two interchangeable implementations are provided (selected by
 :class:`~repro.core.options.TaggingImpl`):
 
-* ``GLOBAL`` — computes record/column ids with whole-input cumulative sums
-  (three vectorised passes).  This is the production path.
+* ``GLOBAL`` — computes the segment tags from the delimiter positions with
+  two small prefix sums.  This is the production path.
 * ``CHUNKED`` — the paper's formulation: per-chunk counts and rel/abs
   offsets, prefix scans across chunks (:mod:`repro.core.offsets`), then a
-  per-chunk tagging sweep seeded with the scanned offsets.  Structurally
-  identical to the GPU kernels; used by tests and ablations.
+  per-chunk tagging sweep seeded with the scanned offsets, sampled at the
+  segment starts.  Structurally identical to the GPU kernels; used by
+  tests and ablations.
 
 Both produce bit-identical :class:`TagResult` values (property tested).
 """
@@ -31,17 +37,29 @@ from repro.core.chunking import Chunking
 from repro.core.offsets import compute_chunk_offsets
 from repro.dfa.automaton import Dfa, Emission
 from repro.errors import ParseError
-from repro.scan.numpy_scan import exclusive_sum
 
 __all__ = ["TagResult", "compute_emissions", "tag_global", "tag_chunked",
-           "build_tag_result"]
+           "sweep_chunk_ids", "segment_lengths"]
+
+
+def segment_lengths(delim_positions: np.ndarray, n: int) -> np.ndarray:
+    """Symbols per segment of an ``n``-symbol input cut at the delimiters.
+
+    Segment ``j`` runs from just after delimiter ``j - 1`` up to and
+    including delimiter ``j``; the last of the ``m + 1`` segments runs to
+    the end of the input and is empty when the input ends on a delimiter.
+    """
+    return np.diff(delim_positions, prepend=-1, append=n - 1)
 
 
 @dataclass
 class TagResult:
-    """Per-symbol classification and tags for the whole input.
+    """Per-symbol classification and per-segment tags for the whole input.
 
-    All arrays have input length (padding removed).
+    Bitmaps have input length (padding removed); the tags are stored per
+    segment (:func:`segment_lengths`): every symbol of a segment belongs
+    to the same record and column, a delimiter carrying the tags of the
+    field it terminates.
     """
 
     #: ``(n,)`` :class:`~repro.dfa.automaton.Emission` codes.
@@ -52,11 +70,6 @@ class TagResult:
     field_delim: np.ndarray
     #: ``(n,)`` bool — symbol is field data.
     data_mask: np.ndarray
-    #: ``(n,)`` int64 — record each symbol belongs to.
-    record_ids: np.ndarray
-    #: ``(n,)`` int64 — column each symbol belongs to (delimiters carry
-    #: the column of the field they terminate).
-    column_ids: np.ndarray
     #: DFA state after the last input symbol.
     final_state: int
     #: Whether the input ends mid-record (no trailing record delimiter).
@@ -64,12 +77,30 @@ class TagResult:
     #: Total records, including a trailing unterminated one.
     num_records: int
     #: ``(m,)`` int64 ascending positions of all delimiters (record or
-    #: field), when the tagging implementation materialised them — the
-    #: run structure the field-run partition strategy exploits (§3.3):
-    #: column tags are constant on every segment between consecutive
-    #: delimiter positions.  ``None`` on the paper-faithful chunked path,
-    #: which never builds per-delimiter arrays.
-    delim_positions: np.ndarray | None = None
+    #: field) — the segment boundaries.
+    delim_positions: np.ndarray
+    #: ``(m + 1,)`` int64 — record of every symbol of segment ``j``.
+    segment_records: np.ndarray
+    #: ``(m + 1,)`` int64 — column of every symbol of segment ``j``.
+    segment_columns: np.ndarray
+
+    @property
+    def record_ids(self) -> np.ndarray:
+        """``(n,)`` record of each symbol, expanded from the segments."""
+        return np.repeat(self.segment_records, self._lengths())
+
+    @property
+    def column_ids(self) -> np.ndarray:
+        """``(n,)`` column of each symbol, expanded from the segments."""
+        return np.repeat(self.segment_columns, self._lengths())
+
+    def record_at(self, position: int) -> int:
+        """The record the symbol at ``position`` belongs to."""
+        segment = np.searchsorted(self.delim_positions, position)
+        return int(self.segment_records[segment])
+
+    def _lengths(self) -> np.ndarray:
+        return segment_lengths(self.delim_positions, self.emissions.size)
 
 
 def compute_emissions(groups: np.ndarray, start_states: np.ndarray,
@@ -133,29 +164,7 @@ def _bitmaps(emissions: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return record_delim, field_delim, data_mask
 
 
-def _exclusive_count(mask: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """``out[i]`` = number of set bits strictly before ``i``.
-
-    Semantically ``exclusive_sum(mask)``, but exploiting that the result
-    is a step function: between consecutive set positions the count is
-    constant, so it can be materialised by run-length ``np.repeat`` over
-    the (small) position array instead of a full-width prefix sum —
-    several times cheaper at realistic delimiter densities.  Dense masks
-    fall back to the scan.
-    """
-    n = mask.size
-    if n == 0 or positions.size * 2 > n:
-        return exclusive_sum(mask)
-    edges = np.empty(positions.size + 2, dtype=np.int64)
-    edges[0] = -1
-    edges[1:-1] = positions
-    edges[-1] = n - 1
-    return np.repeat(np.arange(positions.size + 1, dtype=np.int64),
-                     np.diff(edges))
-
-
-def _trailing_record(emissions: np.ndarray,
-                     record_positions: np.ndarray) -> bool:
+def _trailing_record(emissions: np.ndarray, last_record_delim: int) -> bool:
     """Whether record content follows the last record delimiter.
 
     Content = DATA, FIELD_DELIMITER or CONTROL emissions (a lone ``\"\"``
@@ -164,132 +173,81 @@ def _trailing_record(emissions: np.ndarray,
     delimiter-terminated input that is a handful of bytes, not the whole
     stream.
     """
-    tail = emissions if record_positions.size == 0 \
-        else emissions[int(record_positions[-1]) + 1:]
+    tail = emissions[last_record_delim + 1:]
     content = ((tail == int(Emission.DATA))
                | (tail == int(Emission.FIELD_DELIMITER))
                | (tail == int(Emission.CONTROL)))
     return bool(content.any())
 
 
-def _finalise(emissions: np.ndarray, record_ids: np.ndarray,
-              column_ids: np.ndarray, final_state: int,
-              bitmaps: tuple[np.ndarray, np.ndarray, np.ndarray]
-              | None = None,
-              record_positions: np.ndarray | None = None,
-              delim_positions: np.ndarray | None = None) -> TagResult:
-    record_delim, field_delim, data_mask = bitmaps if bitmaps is not None \
-        else _bitmaps(emissions)
-    if record_positions is None:
-        record_positions = np.flatnonzero(record_delim)
-    trailing = _trailing_record(emissions, record_positions)
-    num_records = record_positions.size + (1 if trailing else 0)
+def _finalise(emissions: np.ndarray, final_state: int,
+              bitmaps: tuple[np.ndarray, np.ndarray, np.ndarray],
+              delim_positions: np.ndarray, segment_records: np.ndarray,
+              segment_columns: np.ndarray) -> TagResult:
+    record_delim, field_delim, data_mask = bitmaps
+    record_ends = delim_positions[record_delim[delim_positions]]
+    trailing = _trailing_record(
+        emissions, int(record_ends[-1]) if record_ends.size else -1)
     return TagResult(
         emissions=emissions,
         record_delim=record_delim,
         field_delim=field_delim,
         data_mask=data_mask,
-        record_ids=record_ids,
-        column_ids=column_ids,
         final_state=final_state,
         has_trailing_record=trailing,
-        num_records=num_records,
+        num_records=record_ends.size + (1 if trailing else 0),
         delim_positions=delim_positions,
+        segment_records=segment_records,
+        segment_columns=segment_columns,
     )
 
 
-def build_tag_result(emissions: np.ndarray, record_ids: np.ndarray,
-                     column_ids: np.ndarray, final_state: int, *,
-                     run_structured: bool = True) -> TagResult:
-    """Assemble a :class:`TagResult` from externally computed tags.
-
-    Bitmap indexes, the trailing-record flag and the record count are
-    derived from the emission stream exactly as :func:`tag_global` does —
-    used by the sharded executor after merging per-shard record/column ids
-    with the rel/abs offset scan.
-
-    ``run_structured`` materialises the per-delimiter position array
-    (the :func:`tag_global` contract, licensing the field-run partition
-    strategy); the sharded executor passes ``False`` when the workers
-    ran the paper-faithful chunked implementation, so serial and sharded
-    schedules resolve the auto partition strategy identically.
-    """
-    result = _finalise(emissions, record_ids, column_ids, final_state)
-    if run_structured:
-        result.delim_positions = np.flatnonzero(result.record_delim
-                                                | result.field_delim)
-    return result
-
-
 def tag_global(emissions: np.ndarray, final_state: int) -> TagResult:
-    """Record/column ids via whole-input delimiter bookkeeping.
+    """Segment tags via whole-input delimiter bookkeeping.
 
-    * ``record_ids[i]`` = record delimiters strictly before ``i``;
-    * ``column_ids[i]`` = delimiters (field or record) between the start of
-      ``i``'s record and ``i`` — inside a record every such delimiter is a
-      field delimiter, so this is the running column index, resetting at
-      record boundaries.
+    With ``m`` delimiters, segment ``j`` (just after delimiter ``j - 1``
+    up to and including delimiter ``j``) belongs to
 
-    Both id streams are piecewise constant between delimiters, so at
-    realistic delimiter densities they are materialised by run-length
-    ``np.repeat`` over per-delimiter arrays — every full-width
-    intermediate (prefix sums, per-position gathers) disappears, leaving
-    one sequential write per output array.  Delimiter-dense inputs fall
-    back to the prefix-sum formulation.
+    * record ``r_j`` = record delimiters among the first ``j`` delimiters;
+    * column ``j - t[r_j]`` = delimiters seen so far minus the delimiter
+      count at the start of the enclosing record (``t``) — inside a record
+      every such delimiter is a field delimiter, so this is the running
+      column index, resetting at record boundaries.
+
+    Both are ``O(m)`` prefix sums over the delimiter positions; nothing
+    per-symbol is built beyond the bitmaps.
     """
-    record_delim, field_delim, data_mask = _bitmaps(emissions)
-    n = emissions.size
-    record_positions = np.flatnonzero(record_delim)
-    record_ids = _exclusive_count(record_delim, record_positions)
-
-    delim_any = record_delim | field_delim
-    delim_positions = np.flatnonzero(delim_any)
+    bitmaps = _bitmaps(emissions)
+    record_delim, field_delim, _ = bitmaps
+    delim_positions = np.flatnonzero(record_delim | field_delim)
     m = delim_positions.size
-    if n and 2 * m <= n:
-        # Segment j of the column-id stream spans (dp[j-1], dp[j]] shifted
-        # by one — i.e. starts right after delimiter j-1 — and holds the
-        # constant ``j - t[r_j]``: j delims seen so far, minus the delim
-        # count at the start of the enclosing record (t), where r_j counts
-        # the record delimiters among the first j delims.
-        is_record = record_delim[delim_positions]
-        records_before = np.empty(m + 1, dtype=np.int64)
-        records_before[0] = 0
-        np.cumsum(is_record, dtype=np.int64, out=records_before[1:])
-        record_start_delims = np.empty(record_positions.size + 1,
-                                       dtype=np.int64)
-        record_start_delims[0] = 0
-        record_start_delims[1:] = np.flatnonzero(is_record) + 1
-        segment_values = np.arange(m + 1, dtype=np.int64) \
-            - record_start_delims[records_before]
-        bounds = np.empty(m + 2, dtype=np.int64)
-        bounds[0] = 0
-        bounds[1:-1] = delim_positions + 1
-        bounds[-1] = n
-        column_ids = np.repeat(segment_values, np.diff(bounds))
-    else:
-        # Dense fallback: delims before the start of each record, as a
-        # per-record table; subtracting via a gather from it is the whole
-        # per-position reset.
-        delims_before = exclusive_sum(delim_any)
-        start_offsets = np.empty(record_positions.size + 1, dtype=np.int64)
-        start_offsets[0] = 0
-        start_offsets[1:] = delims_before[record_positions] + 1
-        column_ids = delims_before - start_offsets[record_ids]
-    return _finalise(emissions, record_ids, column_ids, final_state,
-                     bitmaps=(record_delim, field_delim, data_mask),
-                     record_positions=record_positions,
-                     delim_positions=delim_positions)
+    is_record = record_delim[delim_positions]
+    segment_records = np.empty(m + 1, dtype=np.int64)
+    segment_records[0] = 0
+    np.cumsum(is_record, dtype=np.int64, out=segment_records[1:])
+    record_start_delims = np.empty(int(segment_records[-1]) + 1,
+                                   dtype=np.int64)
+    record_start_delims[0] = 0
+    record_start_delims[1:] = np.flatnonzero(is_record) + 1
+    segment_columns = np.arange(m + 1, dtype=np.int64) \
+        - record_start_delims[segment_records]
+    return _finalise(emissions, final_state, bitmaps, delim_positions,
+                     segment_records, segment_columns)
 
 
-def tag_chunked(emissions: np.ndarray, final_state: int,
-                chunking: Chunking) -> TagResult:
-    """Record/column ids via the paper's per-chunk offsets + scans.
+def sweep_chunk_ids(emissions: np.ndarray, chunking: Chunking
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-symbol record/column ids via the paper's per-chunk offsets.
 
     Pads the emission stream back to the chunk grid, computes each chunk's
     record count and rel/abs column offset, scans both across chunks
-    (:func:`~repro.core.offsets.compute_chunk_offsets`), then assigns tags
+    (:func:`~repro.core.offsets.compute_chunk_offsets`), then assigns ids
     in one data-parallel sweep over chunk-local positions with per-chunk
     running counters seeded from the scans.
+
+    Returns ``(record_ids, column_ids)`` of length ``n + 1``: entry ``n``
+    holds the counters after the last symbol, the tags of an empty
+    trailing segment.
     """
     n = emissions.size
     if n != chunking.input_bytes:
@@ -318,5 +276,22 @@ def tag_chunked(emissions: np.ndarray, final_state: int,
         record_counter = record_counter + is_record
         column_counter = np.where(is_record, 0,
                                   column_counter + is_field)
-    return _finalise(emissions, record_ids.reshape(-1)[:n],
-                     column_ids.reshape(-1)[:n], final_state)
+    # Padding is COMMENT, so the last chunk's counters are the input's.
+    return (np.append(record_ids.reshape(-1)[:n], record_counter[-1]),
+            np.append(column_ids.reshape(-1)[:n], column_counter[-1]))
+
+
+def tag_chunked(emissions: np.ndarray, final_state: int,
+                chunking: Chunking) -> TagResult:
+    """Segment tags sampled from the paper's per-chunk tagging sweep.
+
+    Runs :func:`sweep_chunk_ids` and reads each segment's tags at its
+    first symbol.
+    """
+    record_ids, column_ids = sweep_chunk_ids(emissions, chunking)
+    bitmaps = _bitmaps(emissions)
+    record_delim, field_delim, _ = bitmaps
+    delim_positions = np.flatnonzero(record_delim | field_delim)
+    segment_starts = np.append(0, delim_positions + 1)
+    return _finalise(emissions, final_state, bitmaps, delim_positions,
+                     record_ids[segment_starts], column_ids[segment_starts])

@@ -32,35 +32,38 @@ __all__ = ["build_keep_mask", "prepare_css", "column_indexes"]
 
 
 def build_keep_mask(mode: TaggingMode, data_mask: np.ndarray,
-                    delim_mask: np.ndarray, column_ok: np.ndarray,
-                    record_ok: np.ndarray) -> np.ndarray:
+                    delim_mask: np.ndarray | None,
+                    symbol_ok: np.ndarray | None) -> np.ndarray:
     """Positions entering the partition under the given mode.
 
     Record-tagged keeps data symbols only; the inline/delimited modes also
     keep each field's terminating delimiter (it becomes the terminator /
-    auxiliary mark).
+    auxiliary mark).  ``symbol_ok`` masks out unselected columns and
+    dropped records; ``None`` keeps them all.
     """
-    if mode is TaggingMode.TAGGED:
-        return data_mask & column_ok & record_ok
-    return (data_mask | delim_mask) & column_ok & record_ok
+    keep = data_mask if mode is TaggingMode.TAGGED \
+        else data_mask | delim_mask
+    return keep if symbol_ok is None else keep & symbol_ok
 
 
 def prepare_css(mode: TaggingMode, part: PartitionResult,
-                delim_mask: np.ndarray,
-                options: ParseOptions) -> tuple[np.ndarray, np.ndarray]:
+                delim_mask: np.ndarray | None, options: ParseOptions
+                ) -> tuple[np.ndarray, np.ndarray | None]:
     """Mode-specific CSS post-processing after the partition.
 
     Returns ``(css, aux_delims)`` where ``aux_delims`` marks the CSS
-    positions holding field terminators (used by both non-tagged modes;
-    empty semantics for record-tagged).
+    positions holding field terminators — gathered through the
+    partition's ``order`` only in the two non-tagged modes that read it
+    (``None`` for record-tagged).
 
     For the inline mode this performs the §4.1 substitution — delimiters
     become the reserved terminator byte — and verifies the terminator does
     not occur in field data (the documented precondition; use the
     vector-delimited mode otherwise).
     """
-    aux_delims = delim_mask[part.order]
     css = part.css
+    aux_delims = None if mode is TaggingMode.TAGGED \
+        else delim_mask[part.order]
     if mode is TaggingMode.INLINE:
         if bool(np.any(css[~aux_delims] == options.inline_terminator)):
             raise ParseError(
@@ -72,15 +75,15 @@ def prepare_css(mode: TaggingMode, part: PartitionResult,
 
 
 def column_indexes(mode: TaggingMode, part: PartitionResult,
-                   css: np.ndarray, aux_delims: np.ndarray,
+                   css: np.ndarray, aux_delims: np.ndarray | None,
                    options: ParseOptions) -> list[ColumnIndex]:
     """Per-column CSS field indexes for the configured mode.
 
     Record-tagged fast path: when the partition carries per-field run
-    geometry (the ``delim_positions`` field-run strategy), every sorted
-    run is one field, so the index is read straight off the partition —
-    bit-identical to the per-symbol RLE of :func:`tagged_index`, without
-    touching the CSS symbols again.
+    geometry (the field-run strategy), every sorted run is one field, so
+    the index is read straight off the partition — bit-identical to the
+    per-symbol RLE of :func:`tagged_index`, without touching the CSS
+    symbols again.
     """
     if mode is TaggingMode.TAGGED and part.has_field_geometry:
         indexes = []

@@ -57,12 +57,15 @@ class ValidationReport:
 def record_field_counts(tags: TagResult) -> np.ndarray:
     """Fields per record: field delimiters within the record plus one.
 
-    Covers the trailing unterminated record; blank-line records count one
-    (empty) field, matching the record semantics of the tagger.
+    A per-delimiter count: each field delimiter adds one to the record of
+    the segment it terminates.  Covers the trailing unterminated record;
+    blank-line records count one (empty) field, matching the record
+    semantics of the tagger.
     """
-    counts = np.bincount(tags.record_ids[tags.field_delim],
-                         minlength=tags.num_records).astype(np.int64)
-    return counts + 1
+    is_field = tags.field_delim[tags.delim_positions]
+    counts = np.bincount(tags.segment_records[:-1][is_field],
+                         minlength=tags.num_records)
+    return counts.astype(np.int64) + 1
 
 
 def validate_input(tags: TagResult, dfa: Dfa,

@@ -5,9 +5,7 @@ a chunk's state-transition vector (STV) summarises the chunk independently
 of where the DFA enters it, and STVs combine under composition.  The same
 holds one level up — a *shard* (a contiguous run of bytes, independently
 chunked) is summarised by the composition of its chunks' STVs, and shards
-combine under the very same operator.  Likewise the rel/abs column-offset
-operator (§3.2) combines per-shard delimiter summaries into each shard's
-entering record/column offsets.
+combine under the very same operator.
 
 :class:`ShardedExecutor` exploits this to parallelise the byte-bound
 phases across a ``ProcessPoolExecutor``:
@@ -20,10 +18,11 @@ phases across a ``ProcessPoolExecutor``:
    yielding every shard's entering DFA state, and resolves each chunk's
    start state from the shard-local scans;
 3. **tags** (timer step ``tag``) — every worker re-simulates its shard
-   with the now-known start states (emissions + §3.1 bitmaps) and tags
-   records/columns *locally*; the main process shifts record ids by the
-   scanned record counts, resolves head-of-shard column ids with the
-   rel/abs offset scan, and concatenates.
+   with the now-known start states, returning only its emissions, final
+   state and first invalid position (one byte per shard byte); the main
+   process concatenates the emission streams and tags them with the very
+   tagger the serial tag stage uses.  Tags are per delimiter segment
+   (``O(num_fields)``), so that pass is a few whole-input bitmap sweeps.
 
 Because a shard entering mid-record or mid-quote is resolved exactly like
 a chunk entering mid-record or mid-quote, shard boundaries are arbitrary
@@ -61,12 +60,11 @@ from itertools import repeat
 import numpy as np
 
 from repro.columnar.guard import protect
-from repro.core.options import TaggingImpl
 from repro.core.chunking import chunk_groups_canonical
 from repro.core.context import compute_transition_vectors
-from repro.core.stages import PipelineContext, RawInput, TaggedInput
-from repro.core.tagging import build_tag_result, compute_emissions, \
-    tag_chunked, tag_global
+from repro.core.stages import PipelineContext, RawInput, TagStage, \
+    TaggedInput
+from repro.core.tagging import compute_emissions
 from repro.dfa.automaton import Dfa
 from repro.dfa.minimize import canonicalize
 from repro.errors import ParseError
@@ -79,8 +77,7 @@ from repro.kernels import (
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import Tracer, snapshot_spans
-from repro.scan.numpy_scan import exclusive_sum, scan_column_offsets, \
-    scan_transition_vectors
+from repro.scan.numpy_scan import scan_transition_vectors
 
 __all__ = ["ShardedExecutor"]
 
@@ -210,28 +207,17 @@ def _shard_contexts(shard, dfa: Dfa, chunk_size: int, stride: int = 1,
 
 
 # parlint: worker -- runs in pool processes; must stay pure and picklable
-def _compact_ids(ids: np.ndarray) -> np.ndarray:
-    """Downcast int64 tag ids for the trip home when they fit in int32."""
-    if ids.size == 0 or int(ids.max()) < np.iinfo(np.int32).max:
-        return ids.astype(np.int32)
-    return ids
-
-
-# parlint: worker -- runs in pool processes; must stay pure and picklable
 def _shard_tags(shard, dfa: Dfa, chunk_size: int,
-                start_states: np.ndarray, impl_value: str, stride: int = 1,
+                start_states: np.ndarray, stride: int = 1,
                 minimize: bool = True, shard_index: int = 0,
                 observe: bool = False) -> tuple:
-    """Worker phase 2: emissions and shard-local record/column tags.
+    """Worker phase 2: the shard's emissions.
 
-    Returns ``(emissions, record_ids, column_ids, final_state,
-    invalid_position, record_delims, offset_kind, offset_value, obs)``
-    where the ids are *local* (relative to the shard start), the §3.2
-    summary entries are the shard's record-delimiter count and its
-    rel/abs column offset (absolute = field delimiters after the last
-    record delimiter; relative = all field delimiters), and ``obs``
-    carries the worker's spans/metrics when observing.  With
-    ``minimize`` the sweep runs in canonical state space (and
+    Returns ``(emissions, final_state, invalid_position, obs)``: the
+    shard's emission codes, the DFA state after its last byte, the first
+    shard-relative offset at which the automaton sat in the INV sink
+    (``None`` if never), and the worker's spans/metrics when observing.
+    With ``minimize`` the sweep runs in canonical state space (and
     ``start_states`` arrive canonical, from phase 1's canonical
     vectors); the returned ``final_state`` is mapped back to the source
     automaton, which is what validation speaks.
@@ -256,23 +242,8 @@ def _shard_tags(shard, dfa: Dfa, chunk_size: int,
                                       chunking)
             if canon is not None:
                 final_state = int(canon.state_rep[final_state])
-            if TaggingImpl(impl_value) is TaggingImpl.CHUNKED:
-                tags = tag_chunked(emissions, final_state, chunking)
-            else:
-                tags = tag_global(emissions, final_state)
-            delim_positions = np.flatnonzero(tags.record_delim)
-            if delim_positions.size:
-                offset_kind = True
-                offset_value = int(
-                    tags.field_delim[delim_positions[-1] + 1:].sum())
-            else:
-                offset_kind = False
-                offset_value = int(tags.field_delim.sum())
         obs = _pack_obs(tracer, metrics, "tags", start, int(raw.size))
-        return (emissions, _compact_ids(tags.record_ids),
-                _compact_ids(tags.column_ids), final_state,
-                invalid_position, int(delim_positions.size), offset_kind,
-                offset_value, obs)
+        return emissions, final_state, invalid_position, obs
     finally:
         _close_shard(handle)
 
@@ -454,20 +425,18 @@ class ShardedExecutor(Executor):
                         repeat(ctx.dfa),
                         repeat(options.chunk_size),
                         start_states,
-                        repeat(options.tagging_impl.value),
                         repeat(stride),
                         repeat(minimize),
                         range(len(bounds)),
                         repeat(observe)))
-                    tags, invalid_position = self._merge_tags(
-                        bounds, shard_tags,
-                        run_structured=options.tagging_impl
-                        is TaggingImpl.GLOBAL)
+                    emissions, final_state, invalid_position = \
+                        self._merge_emissions(bounds, shard_tags)
+                    tags = TagStage.tag(options, emissions, final_state)
             if metrics.enabled:
                 metrics.observe("stage.tag.seconds",
                                 time.perf_counter() - phase_start)
             for entry in shard_tags:
-                self._ingest_obs(tracer, metrics, entry[8])
+                self._ingest_obs(tracer, metrics, entry[3])
             if metrics.enabled:
                 metrics.count("sharded.input.bytes.shipped",
                               shipped_per_phase)
@@ -514,60 +483,21 @@ class ShardedExecutor(Executor):
         metrics.merge_dict(metric_snapshot)
 
     @staticmethod
-    def _merge_tags(bounds, shard_tags, run_structured: bool = True):
-        """Stitch per-shard tag results into one global TagResult.
+    def _merge_emissions(bounds, shard_tags
+                         ) -> tuple[np.ndarray, int, int | None]:
+        """Concatenate per-shard emissions into the whole input's.
 
-        Record ids shift by the exclusive sum of per-shard record counts;
-        column ids of each shard's *head* segment (positions before its
-        first record delimiter, whose record started in an earlier shard)
-        gain the shard's entering column offset from the rel/abs scan.
-        Everything after a shard's first record delimiter is already
-        globally correct — the §3.2 argument, verbatim.
-
-        ``run_structured`` mirrors the serial schedule's tagging
-        implementation: when the workers ran :func:`tag_global` the
-        merged result carries the per-delimiter position array, so the
-        parent's partition stage resolves the auto strategy exactly as a
-        serial parse would (field-run); the paper-faithful chunked
-        implementation leaves it out (radix fallback).
+        Returns ``(emissions, final_state, invalid_position)``: the final
+        state is the last shard's, the invalid position the first shard's
+        that has one, shifted to a global byte offset.
         """
-        record_counts = np.array([t[5] for t in shard_tags],
-                                 dtype=np.int64)
-        record_offsets = exclusive_sum(record_counts)
-        kinds = np.array([t[6] for t in shard_tags], dtype=bool)
-        values = np.array([t[7] for t in shard_tags], dtype=np.int64)
-        _, entering_columns = scan_column_offsets(kinds, values,
-                                                  exclusive=True)
-
-        emission_parts = []
-        record_parts = []
-        column_parts = []
         invalid_position = None
-        for i, (lo, _hi) in enumerate(bounds):
-            (emissions, local_rec, local_col, _final, invalid,
-             _count, _kind, _value) = shard_tags[i][:8]
-            emission_parts.append(emissions)
-            rec = local_rec.astype(np.int64)
-            rec += record_offsets[i]
-            col = local_col.astype(np.int64)
-            if entering_columns[i]:
-                col[local_rec == 0] += entering_columns[i]
-            record_parts.append(rec)
-            column_parts.append(col)
-            if invalid_position is None and invalid is not None:
+        for (lo, _hi), (_, _, invalid, _) in zip(bounds, shard_tags):
+            if invalid is not None:
                 invalid_position = lo + invalid
-
-        emissions = np.concatenate(emission_parts) if emission_parts \
-            else np.empty(0, dtype=np.uint8)
-        record_ids = np.concatenate(record_parts) if record_parts \
-            else np.empty(0, dtype=np.int64)
-        column_ids = np.concatenate(column_parts) if column_parts \
-            else np.empty(0, dtype=np.int64)
-        final_state = int(shard_tags[-1][3])
-        tags = build_tag_result(emissions, record_ids, column_ids,
-                                final_state,
-                                run_structured=run_structured)
-        return tags, invalid_position
+                break
+        emissions = np.concatenate([t[0] for t in shard_tags])
+        return emissions, int(shard_tags[-1][1]), invalid_position
 
     # -- scheduling --------------------------------------------------------
 

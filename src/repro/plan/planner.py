@@ -34,6 +34,7 @@ from repro.core.options import (
     PartitionStrategy,
     TaggingImpl,
 )
+from repro.core.stages import PartitionStage
 from repro.gpusim.cost_model import PipelineCostModel, StepCosts
 from repro.kernels.strided import SUPPORTED_STRIDES, plan_nbytes, \
     resolve_stride
@@ -78,11 +79,7 @@ def _sweep_automaton(options: ParseOptions):
 
 def _strategy_of(options: ParseOptions) -> str:
     """The partition strategy a parse with ``options`` resolves to."""
-    if options.partition_strategy is not None:
-        return options.partition_strategy.value
-    return PartitionStrategy.FIELD_RUN.value \
-        if options.tagging_impl is TaggingImpl.GLOBAL \
-        else PartitionStrategy.RADIX.value
+    return PartitionStage.resolve_strategy(options).value
 
 
 @dataclass(frozen=True)

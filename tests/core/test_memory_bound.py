@@ -1,0 +1,52 @@
+"""Per-byte peak memory of a serial parse (ROADMAP item 3.4).
+
+The tracemalloc peak of one serial ``parse`` plus ``write_feather`` on a
+1 MiB input, divided by the input size, must stay under a per-shape
+bound.  The bounds sit just above what segment tags (no per-symbol id
+arrays) give: about 12 B/B on yelp-like input and 25 B/B on the
+many-short-fields taxi and logs shapes; per-symbol int64 tags put these
+at 55 and 67 B/B.
+"""
+
+import tracemalloc
+
+import pytest
+
+from repro import Dialect, ParPaRawParser, ParseOptions
+from repro.columnar.serialize import write_feather
+from repro.workloads import (
+    TAXI_SCHEMA,
+    YELP_SCHEMA,
+    generate_taxi_like,
+    generate_yelp_like,
+)
+
+MiB = 1 << 20
+RFC4180 = Dialect(strip_carriage_return=False)
+PIPE = Dialect(delimiter=b"|", quote=None, strip_carriage_return=False)
+
+SHAPES = {
+    "yelp": (lambda: generate_yelp_like(MiB, seed=1),
+             ParseOptions(dialect=RFC4180, schema=YELP_SCHEMA), 32),
+    "taxi": (lambda: generate_taxi_like(MiB, seed=1),
+             ParseOptions(dialect=RFC4180, schema=TAXI_SCHEMA), 48),
+    "logs": (lambda: generate_taxi_like(MiB, seed=1).replace(b",", b"|"),
+             ParseOptions(dialect=PIPE, schema=TAXI_SCHEMA), 48),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_peak_bytes_per_input_byte(shape):
+    make, options, bound = SHAPES[shape]
+    data = make()
+    parser = ParPaRawParser(options)
+    # Build the process-wide kernel tables outside the measurement: they
+    # are a one-time cost, not a per-byte one.
+    parser.parse(data[:4096])
+    tracemalloc.start()
+    try:
+        write_feather(parser.parse(data).table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(data) <= bound, f"{peak / len(data):.1f} B/B"

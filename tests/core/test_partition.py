@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core.partition import (partition_by_column,
                                   partition_field_runs,
                                   stable_radix_sort)
+from repro.core.tagging import segment_lengths
 from repro.errors import ParseError
 
 
@@ -159,6 +160,37 @@ class TestStableCountingSort:
             (np.cumsum(counts) - counts).tolist()
 
 
+def segments_of(columns, records):
+    """Segment form of per-symbol tags: cut wherever either tag changes.
+
+    Returns ``(delim_positions, segment_columns, segment_records)``: a
+    segment ends at position ``i`` when symbol ``i + 1`` carries other
+    tags, so expanding the segments reproduces the tags exactly.
+    """
+    columns = np.asarray(columns, dtype=np.int64)
+    records = np.asarray(records, dtype=np.int64)
+    ends = np.flatnonzero((columns[1:] != columns[:-1])
+                          | (records[1:] != records[:-1]))
+    starts = np.append(0, ends + 1)
+    if not columns.size:
+        return ends, np.zeros(1, dtype=np.int64), np.zeros(1, np.int64)
+    return ends, columns[starts], records[starts]
+
+
+def field_runs(data, keep, columns, records, num_columns):
+    """:func:`partition_field_runs` over per-symbol tags."""
+    return partition_field_runs(data, keep,
+                                *segments_of(columns, records),
+                                num_columns)
+
+
+def assert_same_partition(a, b):
+    assert a.css.tolist() == b.css.tolist()
+    assert a.record_tags.tolist() == b.record_tags.tolist()
+    assert a.column_offsets.tolist() == b.column_offsets.tolist()
+    assert a.order.tolist() == b.order.tolist()
+
+
 class TestPartitionFieldRuns:
     """The O(n + num_fields) strategy must match the radix sort bit for
     bit — including the stable ``order`` permutation."""
@@ -175,12 +207,8 @@ class TestPartitionFieldRuns:
                                        elements=st.integers(0, 8)))
         keep = data.draw(hnp.arrays(np.bool_, n))
         a = partition_by_column(payload, keep, columns, records, num_cols)
-        b = partition_field_runs(payload, keep, columns, records,
-                                 num_cols)
-        assert a.css.tolist() == b.css.tolist()
-        assert a.record_tags.tolist() == b.record_tags.tolist()
-        assert a.column_offsets.tolist() == b.column_offsets.tolist()
-        assert a.order.tolist() == b.order.tolist()
+        b = field_runs(payload, keep, columns, records, num_cols)
+        assert_same_partition(a, b)
 
     @given(st.data(), st.sampled_from([1, 2, 4, 8]))
     @settings(max_examples=60)
@@ -192,45 +220,38 @@ class TestPartitionFieldRuns:
         keep = data.draw(hnp.arrays(np.bool_, n))
         a = partition_by_column(payload, keep, columns, records,
                                 num_cols, radix_bits=radix_bits)
-        b = partition_field_runs(payload, keep, columns, records,
-                                 num_cols)
-        assert a.css.tolist() == b.css.tolist()
-        assert a.record_tags.tolist() == b.record_tags.tolist()
-        assert a.column_offsets.tolist() == b.column_offsets.tolist()
-        assert a.order.tolist() == b.order.tolist()
+        b = field_runs(payload, keep, columns, records, num_cols)
+        assert_same_partition(a, b)
 
     @given(st.data())
     @settings(max_examples=60)
-    def test_delim_positions_path_matches_fallback(self, data):
-        """Explicit segment boundaries must give the same result as
-        boundary detection, provided tags are constant per segment."""
+    def test_delimiter_segments_match_radix(self, data):
+        """Segments cut at arbitrary delimiter positions — neighbours may
+        share tags, as two fields of one column in consecutive records
+        do — give the radix result over the expanded tags."""
         n = data.draw(st.integers(1, 120))
         num_cols = data.draw(st.integers(1, 5))
         payload = data.draw(hnp.arrays(np.uint8, n))
-        # Build segments from sorted delimiter positions; tags constant
-        # on (prev_delim, this_delim] exactly as the tagger guarantees.
         delims = np.array(sorted(data.draw(st.sets(
             st.integers(0, n - 1), max_size=12))), dtype=np.int64)
-        seg_starts = np.concatenate([[0], delims + 1])
-        col = np.empty(n, dtype=np.int64)
-        rec = np.empty(n, dtype=np.int64)
-        for i, s in enumerate(seg_starts):
-            e = n if i + 1 == seg_starts.size else seg_starts[i + 1]
-            col[s:e] = data.draw(st.integers(0, num_cols - 1))
-            rec[s:e] = i
+        seg_cols = np.array([data.draw(st.integers(0, num_cols - 1))
+                             for _ in range(delims.size + 1)],
+                            dtype=np.int64)
+        seg_recs = np.array([data.draw(st.integers(0, 3))
+                             for _ in range(delims.size + 1)],
+                            dtype=np.int64)
+        lengths = segment_lengths(delims, n)
         keep = data.draw(hnp.arrays(np.bool_, n))
-        a = partition_field_runs(payload, keep, col, rec, num_cols)
-        b = partition_field_runs(payload, keep, col, rec, num_cols,
-                                 delim_positions=delims)
-        assert a.css.tolist() == b.css.tolist()
-        assert a.record_tags.tolist() == b.record_tags.tolist()
-        assert a.column_offsets.tolist() == b.column_offsets.tolist()
-        assert a.order.tolist() == b.order.tolist()
+        a = partition_by_column(payload, keep,
+                                np.repeat(seg_cols, lengths),
+                                np.repeat(seg_recs, lengths), num_cols)
+        b = partition_field_runs(payload, keep, delims, seg_cols,
+                                 seg_recs, num_cols)
+        assert_same_partition(a, b)
 
     def test_empty_input(self):
-        part = partition_field_runs(
-            np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=bool),
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 3)
+        part = field_runs(np.zeros(0, dtype=np.uint8),
+                          np.zeros(0, dtype=bool), [], [], 3)
         assert part.css.size == 0
         assert part.order.size == 0
         assert part.column_offsets.tolist() == [0, 0, 0, 0]
@@ -238,9 +259,8 @@ class TestPartitionFieldRuns:
     def test_single_column(self):
         data = np.frombuffer(b"abcdef", dtype=np.uint8)
         keep = np.array([True, False, True, True, True, False])
-        part = partition_field_runs(data, keep,
-                                    np.zeros(6, dtype=np.int64),
-                                    np.array([0, 0, 1, 1, 2, 2]), 1)
+        part = field_runs(data, keep, np.zeros(6, dtype=np.int64),
+                          np.array([0, 0, 1, 1, 2, 2]), 1)
         assert part.css.tobytes() == b"acde"
         assert part.order.tolist() == [0, 2, 3, 4]
         assert part.record_tags.tolist() == [0, 1, 1, 2]
@@ -252,30 +272,46 @@ class TestPartitionFieldRuns:
         rec = np.zeros(5, dtype=np.int64)
         keep = np.array([True, False, True, False, True])
         a = partition_by_column(data, keep, col, rec, 3)
-        b = partition_field_runs(data, keep, col, rec, 3)
+        b = field_runs(data, keep, col, rec, 3)
         assert b.css.tobytes() == b"123"
         assert a.order.tolist() == b.order.tolist()
 
     def test_rejects_negative_tags(self):
         with pytest.raises(ParseError):
-            partition_field_runs(np.zeros(2, dtype=np.uint8),
-                                 np.ones(2, dtype=bool),
-                                 np.array([-1, 0]),
-                                 np.zeros(2, dtype=np.int64), 2)
+            field_runs(np.zeros(2, dtype=np.uint8), np.ones(2, dtype=bool),
+                       [-1, 0], [0, 0], 2)
 
     def test_rejects_overflowing_tags(self):
         with pytest.raises(ParseError):
-            partition_field_runs(np.zeros(2, dtype=np.uint8),
-                                 np.ones(2, dtype=bool),
-                                 np.array([0, 7]),
-                                 np.zeros(2, dtype=np.int64), 2)
+            field_runs(np.zeros(2, dtype=np.uint8), np.ones(2, dtype=bool),
+                       [0, 7], [0, 0], 2)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ParseError):
             partition_field_runs(np.zeros(2, dtype=np.uint8),
                                  np.ones(3, dtype=bool),
-                                 np.zeros(2, dtype=np.int64),
-                                 np.zeros(2, dtype=np.int64), 1)
+                                 np.zeros(0, dtype=np.int64),
+                                 np.zeros(1, dtype=np.int64),
+                                 np.zeros(1, dtype=np.int64), 1)
+        with pytest.raises(ParseError):
+            partition_field_runs(np.zeros(2, dtype=np.uint8),
+                                 np.ones(2, dtype=bool),
+                                 np.array([0], dtype=np.int64),
+                                 np.zeros(1, dtype=np.int64),
+                                 np.zeros(1, dtype=np.int64), 1)
+
+    def test_order_and_record_tags_derived_on_demand(self):
+        data = np.frombuffer(b"ab,c\nd,ef\n", dtype=np.uint8)
+        keep = data != ord(",")
+        keep &= data != ord("\n")
+        part = partition_field_runs(
+            data, keep, np.array([2, 4, 6, 9], dtype=np.int64),
+            np.array([0, 1, 0, 1, 0], dtype=np.int64),
+            np.array([0, 0, 1, 1, 2], dtype=np.int64), 2)
+        assert part._order is None and part._record_tags is None
+        assert part.css.tobytes() == b"abdcef"
+        assert part.order.tolist() == [0, 1, 5, 3, 7, 8]
+        assert part.record_tags.tolist() == [0, 0, 1, 0, 1, 1]
 
 
 class TestPartitionResultDefaults:

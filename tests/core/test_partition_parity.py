@@ -1,10 +1,12 @@
 """Strategy parity: field-run partitioning is bit-identical to radix.
 
-The field-run strategy's acceptance bar (ISSUE 5): for every dialect,
-tagging mode, input and executor schedule, ``partition_field_runs``
-produces exactly the ``PartitionResult`` the stable radix sort produces —
-same ``css``, ``record_tags``, ``column_offsets`` and stable ``order``
-permutation (``num_field_runs`` is diagnostic metadata and excluded).
+The field-run strategy's acceptance bar: for every dialect, tagging
+mode, input and executor schedule, ``partition_field_runs`` over the
+tagger's per-segment tags produces exactly the ``PartitionResult`` the
+stable radix sort produces over the same tags expanded per symbol — same
+``css``, ``record_tags``, ``column_offsets`` and stable ``order``
+permutation, the last two derived on demand (``num_field_runs`` is
+diagnostic metadata and excluded).
 """
 
 import numpy as np
@@ -19,7 +21,8 @@ from repro import (
     ShardedExecutor,
 )
 from repro.core.options import TaggingImpl, TaggingMode
-from repro.core.stages import PartitionStage, PipelineContext, RawInput
+from repro.core.stages import PartitionStage, PipelineContext, \
+    RawInput, default_pipeline
 from repro.dfa import dialect_dfa
 from repro.errors import ParseError
 from repro.utils.timing import StepTimer
@@ -52,6 +55,12 @@ def assert_parts_identical(a, b):
     assert a.num_columns == b.num_columns
 
 
+def schedules():
+    """The serial schedule and a sharded one with sub-chunk shards."""
+    return (SerialExecutor(),
+            ShardedExecutor(workers=2, shard_bytes=5, use_processes=False))
+
+
 class TestStrategyParity:
     @pytest.mark.parametrize(
         "dialect", DIALECTS,
@@ -69,24 +78,24 @@ class TestStrategyParity:
                         **base))
             except ParseError:
                 for strategy in (PartitionStrategy.FIELD_RUN, None):
-                    with pytest.raises(ParseError):
-                        partition_result(data, ParseOptions(
-                            partition_strategy=strategy, **base))
+                    for executor in schedules():
+                        with pytest.raises(ParseError):
+                            partition_result(data, ParseOptions(
+                                partition_strategy=strategy, **base),
+                                executor)
                 continue
-            field_run = partition_result(
-                data, ParseOptions(
-                    partition_strategy=PartitionStrategy.FIELD_RUN,
-                    **base))
-            auto = partition_result(
-                data, ParseOptions(partition_strategy=None, **base))
-            assert_parts_identical(radix, field_run)
-            assert_parts_identical(radix, auto)
+            for strategy in (PartitionStrategy.FIELD_RUN, None):
+                for executor in schedules():
+                    part = partition_result(
+                        data, ParseOptions(partition_strategy=strategy,
+                                           **base), executor)
+                    assert_parts_identical(radix, part)
 
     def test_chunked_tagging_impl(self):
-        """The paper-faithful chunked tagger carries no delimiter
-        positions: an explicit field-run request is rejected up front
-        with an actionable error, and auto resolves to radix with
-        bit-identical partitions."""
+        """The paper-faithful chunked tagger pairs with the radix sort:
+        an explicit field-run request is rejected up front with an
+        actionable error, and auto resolves to radix with bit-identical
+        partitions."""
         base = dict(dialect=Dialect(strip_carriage_return=False),
                     tagging_impl=TaggingImpl.CHUNKED, chunk_size=8)
         with pytest.raises(ParseError, match="field-run"):
@@ -134,21 +143,18 @@ class TestStrategyParity:
 
 
 class TestStrategyResolution:
-    def test_auto_prefers_field_run_with_positions(self):
-        options = ParseOptions()
-        strategy = PartitionStage.resolve_strategy(
-            options, np.array([3, 7], dtype=np.int64))
+    def test_auto_field_run_for_global_tagging(self):
+        strategy = PartitionStage.resolve_strategy(ParseOptions())
         assert strategy is PartitionStrategy.FIELD_RUN
 
-    def test_auto_falls_back_to_radix_without_positions(self):
-        options = ParseOptions()
-        assert PartitionStage.resolve_strategy(options, None) \
+    def test_auto_radix_for_chunked_tagging(self):
+        options = ParseOptions(tagging_impl=TaggingImpl.CHUNKED)
+        assert PartitionStage.resolve_strategy(options) \
             is PartitionStrategy.RADIX
 
     def test_explicit_choice_wins(self):
         options = ParseOptions(partition_strategy=PartitionStrategy.RADIX)
-        assert PartitionStage.resolve_strategy(
-            options, np.array([1], dtype=np.int64)) \
+        assert PartitionStage.resolve_strategy(options) \
             is PartitionStrategy.RADIX
 
     def test_options_coerce_strings(self):
@@ -180,3 +186,39 @@ class TestStrategyResolution:
                         partition_strategy=PartitionStrategy.RADIX))
         assert metrics.gauges["stage.partition.strategy"] == 0.0
         assert "partition.fields" not in metrics.gauges
+
+
+class TestOnDemandPermutation:
+    """The default path (global tagging, record-tagged mode, field-run)
+    never materialises the per-symbol ``order``/``record_tags``; asking
+    for them afterwards still returns the radix sort's values."""
+
+    DATA = b'a,"b\nc",d\ne,f,g\nh,i\n"unclosed'
+
+    @pytest.mark.parametrize("schedule", [0, 1], ids=["serial", "sharded"])
+    def test_default_parse_never_builds_order(self, schedule):
+        executor = schedules()[schedule]
+        options = ParseOptions(dialect=Dialect(strip_carriage_return=False),
+                               chunk_size=8)
+        part = partition_result(self.DATA, options, executor)
+        assert part._order is None and part._record_tags is None
+        radix = partition_result(self.DATA, options.with_(
+            partition_strategy=PartitionStrategy.RADIX))
+        assert_parts_identical(radix, part)
+
+    def test_default_payload_carries_no_symbol_ids(self):
+        ctx = PipelineContext(options=ParseOptions(), dfa=dialect_dfa(
+            ParseOptions().dialect), timer=StepTimer())
+        raw = as_uint8(self.DATA)
+        payload = SerialExecutor().execute(
+            ctx, RawInput(raw=raw, input_bytes=raw.size), until="partition")
+        assert not hasattr(payload, "col_ids")
+        assert not hasattr(payload, "rec_ids")
+        assert payload.delim_mask is None and payload.aux_delims is None
+        assert payload.segment_columns.size \
+            == payload.delim_positions.size + 1
+        # Converting reads the field geometry, never the permutation.
+        out = default_pipeline().run(ctx, payload, start="convert")
+        assert out.num_rows == 4
+        assert payload.part._order is None
+        assert payload.part._record_tags is None

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.chunking import chunk_groups
 from repro.core.context import determine_contexts
-from repro.core.tagging import compute_emissions, tag_chunked, tag_global
+from repro.core.tagging import compute_emissions, segment_lengths, \
+    sweep_chunk_ids, tag_chunked, tag_global
 from repro.dfa.automaton import Emission
 from repro.dfa.csv import dialect_dfa
 from repro.dfa.dialects import Dialect
@@ -19,6 +20,11 @@ from repro.dfa.dialects import Dialect
 csv_like = st.text(
     alphabet=st.sampled_from(list('ab",\n')), max_size=100
 ).map(lambda s: s.encode())
+# Mostly delimiters: more delimiters than symbols between them.
+delimiter_dense = st.text(
+    alphabet=st.sampled_from(list(',,,\n\na"#')), max_size=60
+).map(lambda s: s.encode())
+COMMENTS = Dialect(comment=b"#", strip_carriage_return=False)
 
 
 def run_tagging(data: bytes, chunk_size: int = 7, dialect=None):
@@ -150,3 +156,54 @@ class TestChunkedEqualsGlobal:
         b = tag_chunked(emissions, final, chunking)
         assert a.column_ids.tolist() == b.column_ids.tolist()
         assert a.record_ids.tolist() == b.record_ids.tolist()
+
+
+class TestSegmentTags:
+    """Segment tags expanded per symbol are the paper's per-chunk sweep
+    ids (DESIGN.md §5), for both taggers and every chunk size."""
+
+    @staticmethod
+    def assert_segments_match_sweep(data: bytes, chunk_size: int,
+                                    dialect=None):
+        emissions, final, _, chunking, _ = run_tagging(data, chunk_size,
+                                                       dialect)
+        record_ids, column_ids = sweep_chunk_ids(emissions, chunking)
+        for tags in (tag_global(emissions, final),
+                     tag_chunked(emissions, final, chunking)):
+            lengths = segment_lengths(tags.delim_positions, len(data))
+            assert lengths.sum() == len(data)
+            assert np.repeat(tags.segment_records, lengths).tolist() \
+                == record_ids[:-1].tolist()
+            assert np.repeat(tags.segment_columns, lengths).tolist() \
+                == column_ids[:-1].tolist()
+            # The last segment (possibly empty) holds the counters after
+            # the final symbol.
+            assert tags.segment_records[-1] == record_ids[-1]
+            assert tags.segment_columns[-1] == column_ids[-1]
+
+    @given(st.one_of(csv_like, delimiter_dense), st.integers(1, 13),
+           st.booleans())
+    @settings(max_examples=150)
+    def test_expanded_segments_equal_chunked_ids(self, data, chunk_size,
+                                                 comments):
+        self.assert_segments_match_sweep(
+            data, chunk_size, COMMENTS if comments else None)
+
+    @pytest.mark.parametrize("data", [
+        b"",
+        b",,,\n\n,\n,,",
+        b"a,b\nc,d",
+        b"a,b\n#trailing comment",
+        b"a\n#c\n#d\n",
+    ], ids=["empty", "delimiter-dense", "unterminated", "trailing-comment",
+            "comment-lines"])
+    @pytest.mark.parametrize("chunk_size", [1, 2, 3, 7, 64])
+    def test_edge_inputs(self, data, chunk_size):
+        self.assert_segments_match_sweep(data, chunk_size, COMMENTS)
+
+    def test_trailing_comment_is_no_record(self):
+        emissions, final, _, _, _ = run_tagging(b"a,b\n#c", 3, COMMENTS)
+        tags = tag_global(emissions, final)
+        assert tags.num_records == 1
+        assert tags.segment_records.tolist() == [0, 0, 1]
+        assert tags.record_at(5) == 1

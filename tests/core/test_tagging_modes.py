@@ -24,19 +24,19 @@ class TestKeepMask:
     OK = np.ones(4, dtype=bool)
 
     def test_tagged_keeps_data_only(self):
-        keep = build_keep_mask(TaggingMode.TAGGED, self.DATA, self.DELIM,
-                               self.OK, self.OK)
+        keep = build_keep_mask(TaggingMode.TAGGED, self.DATA, None,
+                               self.OK)
         assert keep.tolist() == [True, False, True, False]
 
     def test_inline_keeps_delimiters_too(self):
         keep = build_keep_mask(TaggingMode.INLINE, self.DATA, self.DELIM,
-                               self.OK, self.OK)
+                               None)
         assert keep.tolist() == [True, True, True, True]
 
     def test_filters_apply(self):
         no = np.zeros(4, dtype=bool)
         keep = build_keep_mask(TaggingMode.DELIMITED, self.DATA,
-                               self.DELIM, self.OK, no)
+                               self.DELIM, no)
         assert not keep.any()
 
 

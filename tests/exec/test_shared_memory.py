@@ -7,11 +7,16 @@ fallback produce identical results, and that the bytes-shipped metrics
 make the difference observable.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro import Dialect, ParPaRawParser, ParseOptions
+from repro.dfa import dialect_dfa
+from repro.dfa.minimize import canonicalize
 from repro.exec import SerialExecutor, ShardedExecutor
+from repro.exec.sharded import _shard_contexts, _shard_tags
 from repro.obs import MetricsRegistry
 
 DATA = b"".join(b"%d,%d.25,item-%d\n" % (i, i, i) for i in range(600))
@@ -68,3 +73,15 @@ def test_inline_mode_never_uses_shared_memory():
     # Inline shards are plain array views; nothing crosses a process
     # boundary, and nothing is counted as shipped either way.
     assert metrics.gauges["sharded.input.shared_memory"] == 0.0
+
+
+def test_shard_tags_return_is_about_one_byte_per_shard_byte():
+    """Workers send home emissions only (one byte per shard byte); the
+    parent tags the merged stream, so no per-symbol ids are pickled."""
+    shard = np.frombuffer(DATA, dtype=np.uint8)[: len(DATA) // 3]
+    dfa = dialect_dfa(OPTIONS.dialect)
+    local_scan, _, _ = _shard_contexts(shard, dfa, OPTIONS.chunk_size)
+    start = canonicalize(dfa).dfa.start_state
+    result = _shard_tags(shard, dfa, OPTIONS.chunk_size,
+                         local_scan[:, start].astype(np.uint8))
+    assert len(pickle.dumps(result)) <= 1.1 * shard.size
