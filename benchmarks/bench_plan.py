@@ -37,7 +37,6 @@ import sys
 from repro import Dialect, ParPaRawParser, ParseOptions
 from repro.core.options import PartitionStrategy, TaggingImpl
 from repro.kernels import clear_cache
-from repro.kernels.strided import resolve_stride
 from repro.plan import Planner
 from repro.workloads import generate_taxi_like, generate_yelp_like
 
@@ -73,8 +72,7 @@ def _resolved_key(options: ParseOptions) -> tuple:
     the tagging implementation selects.  Cells that resolve identically
     (e.g. auto choosing exactly the chunk-64 grid point) are the same
     measurement, not two noisy ones."""
-    stride = resolve_stride(options.kernel_stride, options._sweep_dfa(),
-                            options.kernel_table_budget)
+    stride = options.resolved_stride()
     if options.partition_strategy is not None:
         strategy = options.partition_strategy.value
     else:

@@ -40,9 +40,10 @@ python -m pytest tests/analysis/test_operator_laws.py -q
 # data-parallel engine agreement, registry distinctness, strict
 # inclusion) — what licenses running sweeps on the minimised automaton.
 python -m pytest tests/analysis/test_dfa_proofs.py -q
-# Kernel tier: strided sweeps (uniform k and the mixed-stride k=8 SWAR
-# ladder) must be bit-identical to unit stride (STVs, emissions, final
-# state, invalid position; both executors; minimised and raw automata).
+# Kernel tier: kernel plans at every stride (the empty k=1 plan up to
+# the mixed-stride k=8 SWAR ladder) must be bit-identical to the
+# unit-stride oracles (STVs, emissions, final state, invalid position;
+# both executors; minimised and raw automata).
 python -m pytest tests/kernels/test_parity.py -q
 # Partition tier: the field-run strategy must be bit-identical to the
 # stable radix sort (css, record tags, offsets, order) across dialects,
@@ -120,14 +121,15 @@ print("kernels smoke: k=8 sharded trace valid")
 EOF
 
 # Minimisation proof smoke: the registry-wide proof sweep must be clean,
-# and a shrunken --table-budget must narrow the auto-picked stride.
+# and a shrunken --table-budget must narrow the auto-picked stride to the
+# empty k=1 plan, which then runs inside pool workers.
 python - <<'EOF'
 from repro.analysis.dfaproofs import verify_all
 broken = {s: [str(v) for v in vs] for s, vs in verify_all().items() if vs}
 assert not broken, broken
 print("dfa proofs smoke: registry sweep clean")
 EOF
-python -m repro parse "$OBS_TMP/smoke.csv" --table-budget 1 \
+python -m repro parse "$OBS_TMP/smoke.csv" --table-budget 1 --workers 2 \
     --trace "$OBS_TMP/trace_budget.json" --metrics > /dev/null
 python - "$OBS_TMP/trace_budget.json" <<'EOF'
 import json, sys
@@ -135,7 +137,8 @@ doc = json.load(open(sys.argv[1]))
 assert doc["metrics"]["gauges"]["stage.stv.stride"] == 1.0, doc["metrics"]
 assert doc["metrics"]["gauges"]["kernels.table_budget"] == 1.0, \
     doc["metrics"]
-print("kernels smoke: shrunken table budget degrades to unit stride")
+assert doc["metrics"]["counters"]["records"] == 200, doc["metrics"]
+print("kernels smoke: shrunken table budget runs the k=1 plan sharded")
 EOF
 
 # Partition-strategy smoke: an explicit field-run sharded parse must

@@ -373,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="K",
                        help="symbols per kernel step for the byte-bound "
                             "sweeps: 8/4/2 use precomposed SWAR k-gram "
-                            "tables, 1 forces the unit-stride reference "
-                            "path (default: auto — widest stride whose "
+                            "tables, 1 steps one symbol at a time with no "
+                            "tables (default: auto — widest stride whose "
                             "tables fit the table budget)")
         p.add_argument("--table-budget", type=_positive_int,
                        default=DEFAULT_TABLE_BUDGET, metavar="BYTES",

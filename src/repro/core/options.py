@@ -18,7 +18,8 @@ from repro.dfa.automaton import Dfa
 from repro.dfa.csv import dialect_dfa
 from repro.dfa.dialects import Dialect
 from repro.errors import ParseError, SchemaError
-from repro.kernels.strided import DEFAULT_TABLE_BUDGET, plan_nbytes
+from repro.kernels.strided import DEFAULT_TABLE_BUDGET, plan_nbytes, \
+    resolve_stride
 
 __all__ = ["TaggingMode", "TaggingImpl", "ColumnCountPolicy",
            "PartitionStrategy", "ParseOptions"]
@@ -115,7 +116,8 @@ class ParseOptions:
         (:mod:`repro.kernels`).  ``None`` (default) picks the largest
         supported stride whose precomposed k-gram tables fit the memory
         budget — the analogue of the paper's multi-symbol devices (MFIRA
-        §5.2, SWAR §5.3); ``1`` forces the unit-stride reference path.
+        §5.2, SWAR §5.3); ``1`` runs the empty plan, one symbol per
+        step.  Resolved once per instance by :meth:`resolved_stride`.
     kernel_table_budget:
         Byte ceiling the automatic stride picker sizes its precomposed
         tables against (default 4 MiB — roughly an L2 cache; tables that
@@ -242,6 +244,7 @@ class ParseOptions:
             raise ParseError(
                 f"plan must be None or 'auto', got {self.plan!r}")
         object.__setattr__(self, "_dfa_cache", None)
+        object.__setattr__(self, "_stride_cache", None)
         if self.partition_strategy is PartitionStrategy.FIELD_RUN \
                 and self.tagging_impl is TaggingImpl.CHUNKED:
             raise ParseError(
@@ -273,6 +276,17 @@ class ParseOptions:
         dfa = self.dfa if self.dfa is not None else dialect_dfa(self.dialect)
         object.__setattr__(self, "_dfa_cache", dfa)
         return dfa
+
+    def resolved_stride(self) -> int:
+        """The kernel stride every sweep of a parse with these options
+        runs at (resolved against the sweep automaton once)."""
+        cached = getattr(self, "_stride_cache", None)
+        if cached is not None:
+            return cached
+        stride = resolve_stride(self.kernel_stride, self._sweep_dfa(),
+                                self.kernel_table_budget)
+        object.__setattr__(self, "_stride_cache", stride)
+        return stride
 
     def _sweep_dfa(self) -> Dfa:
         """The padded automaton the strided sweeps will run with.

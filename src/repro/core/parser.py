@@ -15,6 +15,8 @@ up with the Figure 9/11 benchmarks regardless of the backend.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from repro.core.options import ParseOptions
@@ -42,6 +44,17 @@ _default_executor_factory = None
 #: passed.  ``repro.plan`` registers its process-wide shared planner here
 #: at import time (same inversion as the executor factory).
 _default_planner_factory = None
+
+#: Inputs at least this large return the heap's free pages to the OS once
+#: parsed (see :meth:`ParPaRawParser.parse`); below it the per-symbol
+#: buffers are small next to the interpreter's own footprint.
+TRIM_INPUT_BYTES = 4 << 20
+
+# glibc's ``malloc_trim``; ``None`` where the C library has none.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 def set_default_executor_factory(factory) -> None:
@@ -173,6 +186,13 @@ class ParPaRawParser:
                 out: ConvertedOutput = self.executor.execute(ctx, payload)
         else:
             out = self.executor.execute(ctx, payload)
+        if raw.size >= TRIM_INPUT_BYTES and _malloc_trim is not None:
+            # The pipeline's per-symbol buffers are freed into the C heap,
+            # which keeps them resident unless they sit at its top; where
+            # the surviving allocations landed would otherwise decide
+            # whether a process that parses repeatedly settles at one
+            # resident size or another ~20% higher.
+            _malloc_trim(0)
         result = ParseResult(
             table=out.table,
             num_records=out.num_records,

@@ -40,7 +40,7 @@ import numpy as np
 from repro.columnar.schema import DataType, Field, Schema
 from repro.columnar.table import Table
 from repro.core.chunking import Chunking, chunk_groups_canonical
-from repro.core.context import chunk_start_states, compute_transition_vectors
+from repro.core.context import chunk_start_states
 from repro.core.conversion import CollaborationStats, ConvertStats, \
     convert_column
 from repro.core.options import (
@@ -53,8 +53,8 @@ from repro.core.options import (
 from repro.core.partition import PartitionResult, partition_by_column, \
     partition_field_runs
 from repro.core.selection import prune_rows, row_mapping, selected_column_mask
-from repro.core.tagging import TagResult, compute_emissions, \
-    segment_lengths, tag_chunked, tag_global
+from repro.core.tagging import TagResult, segment_lengths, tag_chunked, \
+    tag_global
 from repro.core.tagging_modes import build_keep_mask, column_indexes, \
     prepare_css
 from repro.core.typeinfer import infer_column_type
@@ -64,11 +64,11 @@ from repro.dfa.automaton import Dfa
 from repro.dfa.minimize import Minimization
 from repro.errors import ParseError
 from repro.kernels import (
+    KernelPlan,
     compute_emissions_plan,
     compute_transition_vectors_plan,
     get_plan,
     pack_plan,
-    resolve_stride,
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -153,12 +153,13 @@ class ChunkVectors(ChunkedInput):
 
     #: ``(num_chunks, num_states)`` uint8 STVs.
     vectors: np.ndarray
+    #: The kernel plan both sweeps run (the empty plan at stride 1), so
+    #: :class:`TagStage` neither resolves the stride nor looks it up.
+    plan: KernelPlan
     #: Packed k-gram indexes keyed by stride (one matrix per distinct
-    #: segment width of the kernel plan), cached by :class:`StvStage` so
-    #: :class:`TagStage` reuses the packing pass of the strided kernels;
-    #: ``None`` on the unit-stride path.
-    packed_kgrams: dict[int, np.ndarray] | None = \
-        field(default=None, kw_only=True)
+    #: segment width of ``plan``; empty for the k=1 plan), cached by
+    #: :class:`StvStage` so :class:`TagStage` reuses the packing pass.
+    packed_kgrams: dict[int, np.ndarray]
 
 
 @dataclass
@@ -319,9 +320,9 @@ class ChunkStage(Stage):
     """Cut the input into the chunk grid, one chunk per logical thread.
 
     With ``ParseOptions.minimize_dfa`` (the default) the grid is built
-    over the canonical minimised automaton, so every downstream sweep —
-    unit-stride or strided — runs in the smallest equivalent state/group
-    space; :class:`TagStage` maps the final state back to the source
+    over the canonical minimised automaton, so every downstream sweep
+    runs in the smallest equivalent state/group space;
+    :class:`TagStage` maps the final state back to the source
     automaton before validation.
     """
 
@@ -347,9 +348,10 @@ class StvStage(Stage):
     """Phase 1a: per-chunk state-transition vectors (§3.1).
 
     Timed as ``parse`` — the paper's name for the STV simulation step.
-    With a kernel stride > 1 (the default when the dialect's k-gram
-    tables fit the budget) the sweep runs on the precomposed strided
-    tables from :mod:`repro.kernels`, advancing k symbols per step.
+    The sweep runs the :class:`~repro.kernels.KernelPlan` of the
+    options' resolved stride, advancing up to k symbols per step on the
+    precomposed tables of :mod:`repro.kernels` (one per step on the
+    empty k=1 plan).
     """
 
     name = "stv"
@@ -358,23 +360,16 @@ class StvStage(Stage):
     output_type = ChunkVectors
 
     def run(self, ctx, payload: ChunkedInput) -> ChunkVectors:
-        budget = ctx.options.kernel_table_budget
-        stride = resolve_stride(ctx.options.kernel_stride,
-                                payload.padded_dfa, budget)
-        packed = None
-        if stride > 1:
-            plan = get_plan(payload.padded_dfa, stride,
-                            payload.chunking.chunk_size, ctx.metrics)
-            packed = pack_plan(payload.groups, plan)
-            vectors = compute_transition_vectors_plan(payload.groups,
-                                                      plan, packed)
-        else:
-            vectors = compute_transition_vectors(payload.groups,
-                                                 payload.padded_dfa)
+        plan = get_plan(payload.padded_dfa, ctx.options.resolved_stride(),
+                        payload.chunking.chunk_size, ctx.metrics)
+        packed = pack_plan(payload.groups, plan)
+        vectors = compute_transition_vectors_plan(payload.groups, plan,
+                                                  packed)
         if ctx.metrics.enabled:
-            ctx.metrics.gauge("stage.stv.stride", stride)
-            ctx.metrics.gauge("kernels.table_budget", budget)
-        return ChunkVectors(**payload.__dict__, vectors=vectors,
+            ctx.metrics.gauge("stage.stv.stride", plan.k)
+            ctx.metrics.gauge("kernels.table_budget",
+                              ctx.options.kernel_table_budget)
+        return ChunkVectors(**payload.__dict__, vectors=vectors, plan=plan,
                             packed_kgrams=packed)
 
 
@@ -408,28 +403,16 @@ class TagStage(Stage):
     output_type = TaggedInput
 
     def run(self, ctx, payload: ChunkContexts) -> TaggedInput:
-        stride = resolve_stride(ctx.options.kernel_stride,
-                                payload.padded_dfa,
-                                ctx.options.kernel_table_budget)
-        if stride > 1:
-            plan = get_plan(payload.padded_dfa, stride,
-                            payload.chunking.chunk_size, ctx.metrics)
-            emissions, final_state, invalid_position = \
-                compute_emissions_plan(payload.groups,
-                                       payload.start_states, plan,
-                                       payload.chunking,
-                                       payload.packed_kgrams)
-        else:
-            emissions, final_state, invalid_position = compute_emissions(
-                payload.groups, payload.start_states, payload.padded_dfa,
-                payload.chunking)
+        emissions, final_state, invalid_position = compute_emissions_plan(
+            payload.groups, payload.start_states, payload.plan,
+            payload.chunking, payload.packed_kgrams)
         if payload.canon is not None:
             # The sweeps ran in canonical state space; report the final
             # state as its source-automaton representative so validation
             # (which speaks the source automaton) reads it directly.
             final_state = int(payload.canon.state_rep[final_state])
         if ctx.metrics.enabled:
-            ctx.metrics.gauge("stage.tag.stride", stride)
+            ctx.metrics.gauge("stage.tag.stride", payload.plan.k)
         tags = self.tag(ctx.options, emissions, final_state)
         return TaggedInput(raw=payload.raw, input_bytes=payload.input_bytes,
                            tags=tags, invalid_position=invalid_position)

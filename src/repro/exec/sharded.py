@@ -33,11 +33,11 @@ the serial executor's.
 
 Two hot-path economies on top of the schedule:
 
-* **strided kernels** — workers run the byte-bound sweeps on the
-  precomposed k-gram tables of :mod:`repro.kernels` (same stride the
-  serial stages would pick); each worker process builds a dialect's
-  tables once, on its first shard, and its process-local cache serves
-  every later shard and parse;
+* **strided kernels** — workers run the byte-bound sweeps as the
+  :class:`~repro.kernels.KernelPlan` of the options' resolved stride
+  (the stride the serial stages run); each worker process builds a
+  dialect's tables once, on its first shard, and its process-local
+  cache serves every later shard and parse;
 * **shared-memory input** — when running on a real process pool the raw
   input is published once via :mod:`multiprocessing.shared_memory` and
   workers slice + chunk their own shard, instead of pickling every
@@ -61,10 +61,8 @@ import numpy as np
 
 from repro.columnar.guard import protect
 from repro.core.chunking import chunk_groups_canonical
-from repro.core.context import compute_transition_vectors
 from repro.core.stages import PipelineContext, RawInput, TagStage, \
     TaggedInput
-from repro.core.tagging import compute_emissions
 from repro.dfa.automaton import Dfa
 from repro.dfa.minimize import canonicalize
 from repro.errors import ParseError
@@ -73,7 +71,6 @@ from repro.kernels import (
     compute_emissions_plan,
     compute_transition_vectors_plan,
     get_plan,
-    resolve_stride,
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import Tracer, snapshot_spans
@@ -189,12 +186,9 @@ def _shard_contexts(shard, dfa: Dfa, chunk_size: int, stride: int = 1,
                          bytes=int(raw.size)) if tracer else _NO_SPAN:
             groups, _, padded_dfa, _canon = chunk_groups_canonical(
                 raw, dfa, chunk_size, minimize)
-            if stride > 1:
-                plan = get_plan(padded_dfa, stride, chunk_size,
-                                metrics or NULL_METRICS)
-                vectors = compute_transition_vectors_plan(groups, plan)
-            else:
-                vectors = compute_transition_vectors(groups, padded_dfa)
+            plan = get_plan(padded_dfa, stride, chunk_size,
+                            metrics or NULL_METRICS)
+            vectors = compute_transition_vectors_plan(groups, plan)
             inclusive = scan_transition_vectors(vectors, exclusive=False)
             local_scan = np.empty_like(inclusive)
             local_scan[0] = np.arange(inclusive.shape[1],
@@ -230,16 +224,11 @@ def _shard_tags(shard, dfa: Dfa, chunk_size: int,
                          bytes=int(raw.size)) if tracer else _NO_SPAN:
             groups, chunking, padded_dfa, canon = chunk_groups_canonical(
                 raw, dfa, chunk_size, minimize)
-            if stride > 1:
-                plan = get_plan(padded_dfa, stride, chunk_size,
-                                metrics or NULL_METRICS)
-                emissions, final_state, invalid_position = \
-                    compute_emissions_plan(groups, start_states,
-                                           plan, chunking)
-            else:
-                emissions, final_state, invalid_position = \
-                    compute_emissions(groups, start_states, padded_dfa,
-                                      chunking)
+            plan = get_plan(padded_dfa, stride, chunk_size,
+                            metrics or NULL_METRICS)
+            emissions, final_state, invalid_position = \
+                compute_emissions_plan(groups, start_states, plan,
+                                       chunking)
             if canon is not None:
                 final_state = int(canon.state_rep[final_state])
         obs = _pack_obs(tracer, metrics, "tags", start, int(raw.size))
@@ -342,13 +331,10 @@ class ShardedExecutor(Executor):
         tracer, metrics = ctx.tracer, ctx.metrics
         observe = tracer.enabled or metrics.enabled
         minimize = options.minimize_dfa
-        # The automaton the workers will actually sweep with: stride
-        # selection must see the same (canonical) state/group counts the
-        # workers' tables will have.
+        # The automaton the workers sweep with (canonical when
+        # minimising), whose start state the combine scan indexes.
         run_dfa = canonicalize(ctx.dfa).dfa if minimize else ctx.dfa
-        stride = resolve_stride(options.kernel_stride,
-                                run_dfa.with_padding_group(),
-                                options.kernel_table_budget)
+        stride = options.resolved_stride()
         bounds = self._shard_bounds(int(raw.size), options.chunk_size)
         mapper = self._mapper(len(bounds))
         pooled = self.use_processes and self.workers > 1 and len(bounds) > 1
@@ -362,7 +348,7 @@ class ShardedExecutor(Executor):
             metrics.gauge("shards", len(bounds))
             metrics.gauge("workers", self.workers)
             # Workers run the sweeps in their own processes, so record the
-            # stride they were handed here, where it is resolved.
+            # stride they are handed here.
             metrics.gauge("stage.stv.stride", stride)
             metrics.gauge("stage.tag.stride", stride)
             metrics.gauge("kernels.table_budget",

@@ -11,10 +11,13 @@ streaming partitions.
 
 The layer is engaged through ``ParseOptions.kernel_stride`` (default
 ``None`` = automatic: the largest supported stride whose tables fit the
-memory budget) and used by :class:`~repro.core.stages.StvStage` /
+memory budget, resolved once per options instance by
+``ParseOptions.resolved_stride``) and used by
+:class:`~repro.core.stages.StvStage` /
 :class:`~repro.core.stages.TagStage` and the sharded executor's worker
-tasks.  Future kernel work — SWAR-style packed matching, a fused
-stv+tag single pass — plugs in here.
+tasks.  Every stride runs as a :class:`KernelPlan`; unit stride is the
+empty ``k = 1`` plan.  Future kernel work — a fused stv+tag single pass
+— plugs in here.
 """
 
 from repro.kernels.cache import (
@@ -32,10 +35,7 @@ from repro.kernels.strided import (
     build_plan,
     build_tables,
     compute_emissions_plan,
-    compute_emissions_strided,
     compute_transition_vectors_plan,
-    compute_transition_vectors_strided,
-    pack_kgrams,
     pack_plan,
     pick_stride,
     plan_nbytes,
@@ -56,11 +56,8 @@ __all__ = [
     "plan_segments",
     "pick_stride",
     "resolve_stride",
-    "pack_kgrams",
     "pack_plan",
-    "compute_transition_vectors_strided",
     "compute_transition_vectors_plan",
-    "compute_emissions_strided",
     "compute_emissions_plan",
     "get_tables",
     "get_plan",

@@ -28,26 +28,27 @@ symbols, :func:`build_tables` precomposes
   exactly the intermediate-state information the unit-stride sweep
   derives symbol by symbol.
 
-With these tables both sweeps advance ``k`` symbols per gather, shrinking
-the Python loop from ``chunk_size`` to ``chunk_size // k`` iterations
-(plus a unit-stride tail of ``chunk_size % k`` symbols).  The outputs are
-bit-identical to the unit-stride sweeps by construction — the tables are
-*the same function*, memoised over k-grams — and the parity property
-suite in ``tests/kernels`` proves it over random dialects and inputs.
+Both sweeps run one kind of kernel, a :class:`KernelPlan`: the chunk is
+decomposed down the supported-stride ladder (``31 = 8+8+8+4+2+1``), each
+segment advances by one gather on the widest table that fits it, and at
+most one trailing symbol is finished by a unit-stride loop.  The Python
+loop shrinks from ``chunk_size`` iterations to about ``chunk_size / k``.
+Unit stride is the same kernel with an empty plan: at ``k = 1`` there are
+no segments and no tables, and the unit loop covers the whole chunk.
+The outputs are bit-identical to the reference sweeps of
+:mod:`repro.core.context` and :mod:`repro.core.tagging` by construction
+— the tables are *the same function*, memoised over k-grams — and the
+parity property suite in ``tests/kernels`` proves it over random
+dialects, inputs and strides.
 
 The trade-off is table memory: ``G^k`` rows.  :func:`pick_stride`
-selects the largest supported ``k`` whose tables fit a byte budget
-(falling back to ``k = 1``, i.e. the unit-stride path), so small
-automata stride wide while group-rich automata degrade gracefully.
-Two refinements push the ceiling to the full ``k = 8`` SWAR word:
-
-* the pipeline minimises the automaton first
-  (:mod:`repro.dfa.minimize`), shrinking both ``G`` and ``S`` — a
-  quote-less no-CR dialect collapses to one state and four groups,
-  whose whole k=8 plan is ~0.7 MB;
-* a :class:`KernelPlan` decomposes the chunk down the supported-stride
-  ladder (``31 = 8+8+8+4+2+1``) instead of finishing ``chunk_size % k``
-  symbols unit-stride, so wide strides help short chunks too.
+selects the largest supported ``k`` whose plan fits a byte budget
+(falling back to the empty ``k = 1`` plan), so small automata stride
+wide while group-rich automata degrade gracefully.  The pipeline
+minimises the automaton first (:mod:`repro.dfa.minimize`), shrinking
+both ``G`` and ``S`` — a quote-less no-CR dialect collapses to one state
+and four groups, whose whole k=8 plan is ~0.7 MB — which is what lets
+every shipped dialect reach ``k = 4`` or ``k = 8``.
 """
 
 from __future__ import annotations
@@ -73,11 +74,8 @@ __all__ = [
     "plan_segments",
     "pick_stride",
     "resolve_stride",
-    "pack_kgrams",
     "pack_plan",
-    "compute_transition_vectors_strided",
     "compute_transition_vectors_plan",
-    "compute_emissions_strided",
     "compute_emissions_plan",
 ]
 
@@ -152,9 +150,10 @@ def table_nbytes(num_groups: int, num_states: int, k: int) -> int:
 
 
 def _ladder(k: int) -> tuple[int, ...]:
-    """The descending strides a ``k``-stride plan may use: ``k`` itself
-    plus every supported stride below it (the remainder ladder)."""
-    return tuple(sorted({k, *(s for s in SUPPORTED_STRIDES if s < k)},
+    """The descending table strides a ``k``-stride plan may use: ``k``
+    itself plus every supported stride below it (the remainder ladder);
+    empty at ``k = 1``."""
+    return tuple(sorted({s for s in (k, *SUPPORTED_STRIDES) if 2 <= s <= k},
                         reverse=True))
 
 
@@ -166,17 +165,17 @@ def plan_segments(chunk_size: int, k: int
     ``(offset, stride)`` blocks, largest strides first, and ``unit_tail``
     is the count of trailing symbols finished unit-stride.  E.g. the
     paper's 31-byte chunk at ``k = 8`` decomposes as ``8+8+8+4+2`` plus a
-    1-byte tail — 6 table steps where uniform k=4 needs 10 — because the
-    remainder after the widest blocks cascades down the supported-stride
-    ladder instead of degrading straight to unit stride.
+    1-byte tail — 6 steps where a single k=4 table would need 10 —
+    because the remainder after the widest blocks cascades down the
+    supported-stride ladder instead of degrading straight to unit stride.
+    At ``k = 1`` the ladder has no rung: no segments, and the whole chunk
+    is the unit tail.
     """
     if k < 1:
         raise ParseError("stride must be >= 1")
     segments: list[tuple[int, int]] = []
     offset = 0
     for stride in _ladder(k):  # parlint: disable=PPR401 -- <= len(SUPPORTED_STRIDES)+1 ladder rungs, configuration-time arithmetic only
-        if stride < 2:
-            continue
         while offset + stride <= chunk_size:  # parlint: disable=PPR401 -- chunk_size // stride blocks, configuration-time arithmetic only
             segments.append((offset, stride))
             offset += stride
@@ -188,8 +187,6 @@ def plan_nbytes(num_groups: int, num_states: int, k: int) -> int:
     materialise (the ``k`` table plus the whole remainder ladder below
     it).  Conservative and chunk-size-independent, so the auto-picker's
     verdict holds for every chunk size."""
-    if k < 2:
-        return 0
     return sum(table_nbytes(num_groups, num_states, stride)
                for stride in _ladder(k))
 
@@ -199,7 +196,7 @@ def pick_stride(dfa: Dfa, budget: int = DEFAULT_TABLE_BUDGET) -> int:
 
     Sized against :func:`plan_nbytes` — the whole mixed-stride ladder a
     plan may build, not just the headline ``k`` table.  Falls back to
-    ``1`` (the unit-stride path, no tables at all) when even ``k = 2``
+    ``1`` (the empty plan, no tables at all) when even ``k = 2``
     would blow the budget — automata with very many symbol groups keep
     working, just without striding.
     """
@@ -214,7 +211,7 @@ def resolve_stride(requested: int | None, dfa: Dfa,
     """The stride a parse actually runs with.
 
     ``requested is None`` selects automatically via :func:`pick_stride`;
-    an explicit stride is honoured (``1`` = force unit-stride) but
+    an explicit stride is honoured (``1`` = the empty plan) but
     rejected when its tables would be absurdly large.
     """
     if requested is None:
@@ -238,7 +235,7 @@ def build_tables(dfa: Dfa, k: int) -> StridedTables:
     possible next symbols at once, so it costs ``O(G^k · S)`` table cells
     and is independent of input size.  The packed index of prefix ``p``
     extended by group ``g`` is ``p·G + g``, matching
-    :func:`pack_kgrams`'s big-endian packing.
+    :func:`pack_plan`'s big-endian packing.
     """
     if k < 1:
         raise ParseError("stride must be >= 1")
@@ -295,177 +292,22 @@ def build_tables(dfa: Dfa, k: int) -> StridedTables:
     )
 
 
-def pack_kgrams(groups: np.ndarray, k: int, num_groups: int) -> np.ndarray:
-    """Pack consecutive symbol groups into big-endian k-gram indexes.
-
-    ``groups`` is the ``(num_chunks, chunk_size)`` symbol-group matrix;
-    the result is ``(num_chunks, chunk_size // k)`` int32 where block
-    ``b`` packs columns ``b*k .. b*k+k-1`` as
-    ``g_0·G^(k-1) + … + g_{k-1}``.  Trailing columns beyond the last
-    full block are ignored (the sweeps finish them unit-stride).
-
-    The packing itself is ``k`` vectorised shift-adds over the whole
-    matrix — one pass over the data, amortised across the
-    ``chunk_size // k`` loop iterations it saves.
-    """
-    num_blocks = groups.shape[1] // k
-    head = groups[:, :num_blocks * k]
-    packed = head[:, 0::k].astype(np.int32)
-    for i in range(1, k):  # parlint: disable=PPR401 -- k<=stride shift-add passes, each vectorised over the whole chunk grid
-        packed *= num_groups
-        packed += head[:, i::k]
-    return packed
-
-
-def compute_transition_vectors_strided(groups: np.ndarray,
-                                       tables: StridedTables,
-                                       packed: np.ndarray | None = None
-                                       ) -> np.ndarray:
-    """STVs for all chunks, ``k`` symbols per step (cf.
-    :func:`repro.core.context.compute_transition_vectors`).
-
-    Bit-identical to the unit-stride sweep: the k-step table *is* the
-    k-fold composition of the base table, and composition is associative.
-    ``packed`` may carry a precomputed :func:`pack_kgrams` result so the
-    STV and tagging sweeps of one parse share a single packing pass.
-    """
-    if groups.ndim != 2:
-        raise ValueError("expected a (num_chunks, chunk_size) matrix")
-    dfa, k = tables.dfa, tables.k
-    num_chunks, chunk_size = groups.shape
-    num_blocks = chunk_size // k
-    vectors = np.broadcast_to(
-        np.arange(dfa.num_states, dtype=np.uint8),
-        (num_chunks, dfa.num_states)).copy()
-    if packed is None:
-        packed = pack_kgrams(groups, k, dfa.num_groups)
-    elif packed.shape != (num_chunks, num_blocks):
-        raise ValueError("packed k-grams do not match the chunk grid")
-    transitions_k = tables.transitions
-    for b in range(num_blocks):  # parlint: disable=PPR401 -- chunk_size // k iterations (the strided serial depth); vectorised over the num_chunks axis
-        vectors = transitions_k[packed[:, b, None], vectors]
-    transitions = dfa.transitions
-    for j in range(num_blocks * k, chunk_size):  # parlint: disable=PPR401 -- unit-stride tail of < k symbols
-        vectors = transitions[groups[:, j, None], vectors]
-    return vectors
-
-
-def compute_emissions_strided(groups: np.ndarray, start_states: np.ndarray,
-                              tables: StridedTables, chunking,
-                              packed: np.ndarray | None = None
-                              ) -> tuple[np.ndarray, int, int | None]:
-    """Tagging sweep, ``k`` symbols per step (cf.
-    :func:`repro.core.tagging.compute_emissions`).
-
-    Returns the same ``(emissions, final_state, invalid_position)``
-    triple as the unit-stride sweep, bit for bit.  INV detection exploits
-    the sink property: once entered, INV is never left, so a chunk read a
-    symbol in the sink iff its *end* state is the sink (or it entered on
-    its very last transition, in which case the next chunk starts there
-    and reads its first symbol in it).  The hot loop therefore carries no
-    per-block invalid bookkeeping at all — it only records the block
-    entry states — and the exact offset is recovered afterwards by a
-    scalar replay of the single first affected chunk through the
-    per-block ``first_invalid`` table.  That reproduces the unit-stride
-    position also when it falls mid-block or inside the padded tail
-    (where the ``position < input_bytes`` filter below discards it
-    identically).  ``packed`` may carry a precomputed :func:`pack_kgrams`
-    result (see :func:`compute_transition_vectors_strided`).
-    """
-    dfa, k = tables.dfa, tables.k
-    num_chunks, chunk_size = groups.shape
-    num_blocks = chunk_size // k
-    states = start_states.astype(np.uint8).copy()
-    emissions = np.empty((num_chunks, chunk_size), dtype=np.uint8)
-    invalid = dfa.invalid_state
-
-    if packed is None:
-        packed = pack_kgrams(groups, k, dfa.num_groups)
-    elif packed.shape != (num_chunks, num_blocks):
-        raise ValueError("packed k-grams do not match the chunk grid")
-    transitions_k = tables.transitions
-    emissions_k = tables.emissions
-    words_k = tables.emission_words
-    invalid_k = tables.first_invalid
-    entry_states = np.empty((num_chunks, num_blocks), dtype=np.uint8) \
-        if invalid is not None else None
-    if words_k is not None:
-        # SWAR fast path (§5.3): one word gather per chunk per block
-        # instead of k scattered bytes; the word buffer is re-viewed as
-        # the emission bytes afterwards (same native order as the pack).
-        out_words = np.empty((num_chunks, num_blocks), dtype=words_k.dtype)
-    else:
-        out_words = None
-    for b in range(num_blocks):  # parlint: disable=PPR401 -- chunk_size // k iterations (the strided serial depth); vectorised over the num_chunks axis
-        kgrams = packed[:, b]
-        if out_words is not None:
-            out_words[:, b] = words_k[kgrams, states]
-        else:
-            emissions[:, b * k:(b + 1) * k] = emissions_k[kgrams, states]
-        if entry_states is not None:
-            entry_states[:, b] = states
-        states = transitions_k[kgrams, states]
-    if out_words is not None and num_blocks:
-        emissions[:, :num_blocks * k] = out_words.view(np.uint8).reshape(
-            num_chunks, num_blocks * k)
-
-    tail_entry = states.copy() if invalid is not None else None
-    transitions = dfa.transitions
-    emission_table = dfa.emissions
-    for j in range(num_blocks * k, chunk_size):  # parlint: disable=PPR401 -- unit-stride tail of < k symbols
-        g = groups[:, j]
-        emissions[:, j] = emission_table[states, g]
-        states = transitions[g, states]
-
-    final_state = int(states[-1])
-    flat = emissions.reshape(-1)[:chunking.input_bytes]
-
-    invalid_position: int | None = None
-    if invalid is not None:
-        bad = np.flatnonzero(states == invalid)   # sink: end == visited
-        if bad.size:
-            chunk = int(bad[0])
-            offset = -1
-            for b in range(num_blocks):  # parlint: disable=PPR401 -- scalar replay of one chunk, <= chunk_size/k steps
-                off = int(invalid_k[packed[chunk, b],
-                                    entry_states[chunk, b]])
-                if off >= 0:
-                    offset = b * k + off
-                    break
-            if offset < 0:
-                state = int(tail_entry[chunk])
-                for j in range(num_blocks * k, chunk_size):  # parlint: disable=PPR401 -- scalar replay of one chunk tail, < k steps
-                    if state == invalid:
-                        offset = j
-                        break
-                    state = int(transitions[groups[chunk, j], state])
-            if offset < 0:
-                # Entered the sink on the chunk's very last transition:
-                # the first symbol read in it is the next chunk's first.
-                chunk += 1
-                offset = 0 if chunk < num_chunks else -1
-            if offset >= 0:
-                position = chunk * chunk_size + offset
-                if position < chunking.input_bytes:
-                    invalid_position = position
-    return flat, final_state, invalid_position
-
-
 # -- mixed-stride plans ------------------------------------------------------
 
 @dataclass(frozen=True)
 class KernelPlan:
     """A chunk-shaped execution plan over mixed strides.
 
-    Uniform-``k`` sweeps leave ``chunk_size % k`` symbols to the
-    unit-stride tail — at the paper's 31-byte chunks a uniform k=8 sweep
-    would pay 3 table steps *plus 7 scalar rounds*, no better than k=4.
-    A plan instead decomposes the chunk down the supported-stride ladder
+    A single ``k`` table would leave ``chunk_size % k`` symbols to a
+    scalar tail — at the paper's 31-byte chunks k=8 alone pays 3 table
+    steps *plus 7 scalar rounds*, no better than k=4.  A plan instead
+    decomposes the chunk down the supported-stride ladder
     (:func:`plan_segments`) and carries one :class:`StridedTables` per
     distinct stride, so every segment advances by the widest table that
-    still fits.  Built by :func:`build_plan` (or the caching
-    :func:`repro.kernels.cache.get_plan`); immutable and shareable like
-    the tables it wraps.
+    still fits.  The ``k = 1`` plan is empty: no segments, no tables,
+    ``unit_tail == chunk_size``.  Built by :func:`build_plan` (or the
+    caching :func:`repro.kernels.cache.get_plan`); immutable and
+    shareable like the tables it wraps.
     """
 
     #: The automaton the plan executes (with padding group).
@@ -496,9 +338,6 @@ def build_plan(dfa: Dfa, k: int, chunk_size: int,
     :func:`build_tables` by default; the kernel cache passes its caching
     getter so plans share tables process-wide.
     """
-    if k < 2:
-        raise ParseError("plans need a stride >= 2; use the unit-stride "
-                         "sweeps for k = 1")
     segments, unit_tail = plan_segments(chunk_size, k)
     strides = sorted({stride for _, stride in segments}, reverse=True)
     tables = {stride: table_source(dfa, stride) for stride in strides}
@@ -512,9 +351,10 @@ def pack_plan(groups: np.ndarray, plan: KernelPlan
     """Packed k-gram indexes for every segment of ``plan``.
 
     Returns ``{stride: (num_chunks, segments_of_that_stride) int32}``,
-    segment columns in plan order — the mixed-stride analogue of
-    :func:`pack_kgrams`, and like it a handful of vectorised shift-add
-    passes over the whole chunk grid.
+    segment columns in plan order.  Stride ``s`` packs the ``s`` groups
+    of a segment big-endian, ``g_0·G^(s-1) + … + g_{s-1}`` — the row
+    order of :func:`build_tables` — in ``s`` vectorised shift-add passes
+    over the whole chunk grid.  Empty for the ``k = 1`` plan.
     """
     if groups.ndim != 2 or groups.shape[1] != plan.chunk_size:
         raise ValueError("groups do not match the plan's chunk grid")
@@ -547,12 +387,13 @@ def compute_transition_vectors_plan(groups: np.ndarray, plan: KernelPlan,
                                     packed: dict[int, np.ndarray] | None
                                     = None) -> np.ndarray:
     """STVs for all chunks, one table gather per plan segment (cf.
-    :func:`compute_transition_vectors_strided`).
+    :func:`repro.core.context.compute_transition_vectors`).
 
-    Bit-identical to the unit-stride sweep for the same reason the
-    uniform sweep is: every per-stride table is the exact composition of
-    the base table over its block, and composition is associative
-    regardless of how the chunk is split.
+    Bit-identical to the unit-stride sweep: every per-stride table is the
+    exact composition of the base table over its block, and composition
+    is associative regardless of how the chunk is split.  ``packed`` may
+    carry a precomputed :func:`pack_plan` result so the STV and tagging
+    sweeps of one parse share a single packing pass.
     """
     if groups.ndim != 2:
         raise ValueError("expected a (num_chunks, chunk_size) matrix")
@@ -569,7 +410,7 @@ def compute_transition_vectors_plan(groups: np.ndarray, plan: KernelPlan,
         vectors = plan.tables[stride].transitions[
             packed[stride][:, column, None], vectors]
     transitions = dfa.transitions
-    for j in range(chunk_size - plan.unit_tail, chunk_size):  # parlint: disable=PPR401 -- unit-stride tail of < 2 symbols
+    for j in range(chunk_size - plan.unit_tail, chunk_size):  # parlint: disable=PPR401 -- unit tail: < 2 symbols at k >= 2, the whole chunk (the per-thread serial depth) for the empty k=1 plan; vectorised over the num_chunks axis
         vectors = transitions[groups[:, j, None], vectors]
     return vectors
 
@@ -579,16 +420,23 @@ def compute_emissions_plan(groups: np.ndarray, start_states: np.ndarray,
                            packed: dict[int, np.ndarray] | None = None
                            ) -> tuple[np.ndarray, int, int | None]:
     """Tagging sweep over a mixed-stride plan (cf.
-    :func:`compute_emissions_strided`).
+    :func:`repro.core.tagging.compute_emissions`).
 
     Returns the same ``(emissions, final_state, invalid_position)``
     triple as the unit-stride sweep, bit for bit.  Each segment gathers
     one SWAR word (every supported stride is a word size) and re-views it
-    as the segment's emission bytes; INV handling generalises the
-    uniform-stride scheme — the hot loop records only segment entry
+    as the segment's emission bytes.  INV detection exploits the sink
+    property: once entered, INV is never left, so a chunk read a symbol
+    in the sink iff its *end* state is the sink (or it entered on its
+    very last transition, in which case the next chunk reads its first
+    symbol there).  The hot loop therefore records only segment entry
     states, and the exact offset is recovered by a scalar replay of the
     first affected chunk through the per-segment ``first_invalid``
     tables, then the unit tail, then the next chunk's first symbol.
+    That reproduces the unit-stride position also when it falls
+    mid-segment or inside the padded tail (where the ``position <
+    input_bytes`` filter discards it identically).  ``packed`` may carry
+    a precomputed :func:`pack_plan` result.
     """
     num_chunks, chunk_size = groups.shape
     if chunk_size != plan.chunk_size:
@@ -622,7 +470,7 @@ def compute_emissions_plan(groups: np.ndarray, start_states: np.ndarray,
     tail_start = chunk_size - plan.unit_tail
     transitions = dfa.transitions
     emission_table = dfa.emissions
-    for j in range(tail_start, chunk_size):  # parlint: disable=PPR401 -- unit-stride tail of < 2 symbols
+    for j in range(tail_start, chunk_size):  # parlint: disable=PPR401 -- unit tail: < 2 symbols at k >= 2, the whole chunk (the per-thread serial depth) for the empty k=1 plan; vectorised over the num_chunks axis
         g = groups[:, j]
         emissions[:, j] = emission_table[states, g]
         states = transitions[g, states]
@@ -645,7 +493,7 @@ def compute_emissions_plan(groups: np.ndarray, start_states: np.ndarray,
                     break
             if offset_found < 0:
                 state = int(tail_entry[chunk])
-                for j in range(tail_start, chunk_size):  # parlint: disable=PPR401 -- scalar replay of one chunk tail, < 2 steps
+                for j in range(tail_start, chunk_size):  # parlint: disable=PPR401 -- scalar replay of one chunk's unit tail: < 2 steps at k >= 2, <= chunk_size for the empty k=1 plan
                     if state == invalid:
                         offset_found = j
                         break

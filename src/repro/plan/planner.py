@@ -36,8 +36,7 @@ from repro.core.options import (
 )
 from repro.core.stages import PartitionStage
 from repro.gpusim.cost_model import PipelineCostModel, StepCosts
-from repro.kernels.strided import SUPPORTED_STRIDES, plan_nbytes, \
-    resolve_stride
+from repro.kernels.strided import SUPPORTED_STRIDES, plan_nbytes
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.plan.calibration import CalibrationStore, STEPS, chunk_bucket, \
@@ -70,11 +69,6 @@ WORKERS_INPUT_THRESHOLD = 64 * MiB
 
 #: Worker-count ceiling the planner will recommend.
 MAX_PLAN_WORKERS = 4
-
-
-def _sweep_automaton(options: ParseOptions):
-    """The padded automaton the strided sweeps will actually run with."""
-    return options._sweep_dfa()
 
 
 def _strategy_of(options: ParseOptions) -> str:
@@ -273,7 +267,7 @@ class Planner:
     def _decide(self, stats: InputStats, fingerprint: str,
                 base: ParseOptions) -> PlanDecision:
         input_bytes = max(1, stats.input_bytes)
-        automaton = _sweep_automaton(base)
+        automaton = base._sweep_dfa()
         budget = base.kernel_table_budget
         notes: list[str] = []
         if not stats.sniffed_agrees:
@@ -410,9 +404,7 @@ class Planner:
         if not measured or result.input_bytes == 0:
             return fingerprint
 
-        stride = resolve_stride(options.kernel_stride,
-                                _sweep_automaton(options),
-                                options.kernel_table_budget)
+        stride = options.resolved_stride()
         strategy = _strategy_of(options)
         stats = InputStats(
             input_bytes=result.input_bytes,
@@ -503,9 +495,7 @@ class Planner:
             stats = _generic_shape(base)
         fp = fingerprint if fingerprint is not None \
             else stats.fingerprint()
-        stride = resolve_stride(base.kernel_stride,
-                                _sweep_automaton(base),
-                                base.kernel_table_budget)
+        stride = base.resolved_stride()
         strategy = _strategy_of(base)
         costs = self._modelled(stats, max(1, int(input_bytes)),
                                base.chunk_size, stride, strategy)

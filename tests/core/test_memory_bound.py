@@ -5,7 +5,8 @@ The tracemalloc peak of one serial ``parse`` plus ``write_feather`` on a
 bound.  The bounds sit just above what segment tags (no per-symbol id
 arrays) give: about 12 B/B on yelp-like input and 25 B/B on the
 many-short-fields taxi and logs shapes; per-symbol int64 tags put these
-at 55 and 67 B/B.
+at 55 and 67 B/B.  A parse of a large input also trims the C heap once,
+so the freed buffers leave the resident set.
 """
 
 import tracemalloc
@@ -14,6 +15,7 @@ import pytest
 
 from repro import Dialect, ParPaRawParser, ParseOptions
 from repro.columnar.serialize import write_feather
+from repro.core import parser as parser_module
 from repro.workloads import (
     TAXI_SCHEMA,
     YELP_SCHEMA,
@@ -50,3 +52,14 @@ def test_peak_bytes_per_input_byte(shape):
     finally:
         tracemalloc.stop()
     assert peak / len(data) <= bound, f"{peak / len(data):.1f} B/B"
+
+
+def test_heap_trimmed_after_large_parses_only(monkeypatch):
+    calls = []
+    monkeypatch.setattr(parser_module, "_malloc_trim", calls.append)
+    monkeypatch.setattr(parser_module, "TRIM_INPUT_BYTES", 4096)
+    parser = ParPaRawParser(ParseOptions())
+    parser.parse(b"a,b\n" * 16)
+    assert calls == []
+    parser.parse(b"a,b\n" * 1024)
+    assert calls == [0]

@@ -1,11 +1,13 @@
-"""Parity: strided kernels must be bit-identical to the unit-stride sweeps.
+"""Parity: kernel plans must be bit-identical to the unit-stride oracles.
 
-The acceptance bar of the strided layer: for every stride, dialect,
-chunk geometry and input — including inputs whose length is not a
-multiple of the chunk size, chunk sizes that are not a multiple of k,
-and invalid bytes falling mid-block or inside the padded tail — the
-strided sweeps return exactly what the unit-stride sweeps return: same
-STVs, same emission stream, same final state, same ``invalid_position``.
+The acceptance bar of the kernel layer: for every stride (the empty
+k=1 plan included), dialect, chunk geometry and input — including
+inputs whose length is not a multiple of the chunk size, chunk sizes
+that are not a multiple of k, and invalid bytes falling mid-segment or
+inside the padded tail — the plan sweeps return exactly what the
+reference sweeps of ``repro.core.context`` / ``repro.core.tagging``
+return: same STVs, same emission stream, same final state, same
+``invalid_position``.
 """
 
 import numpy as np
@@ -19,12 +21,9 @@ from repro.core.tagging import compute_emissions
 from repro.dfa import dialect_dfa
 from repro.exec import ShardedExecutor
 from repro.kernels import (
-    build_plan,
     compute_emissions_plan,
-    compute_emissions_strided,
     compute_transition_vectors_plan,
-    compute_transition_vectors_strided,
-    get_tables,
+    get_plan,
     pack_plan,
 )
 from repro.dfa.minimize import canonicalize
@@ -56,25 +55,12 @@ def strides_for(padded) -> tuple[int, ...]:
         padded.num_groups, padded.num_states, 8) <= _K8_RAW_TABLE_CAP)
 
 
-def both_sweeps(raw: np.ndarray, dfa, chunk_size: int, k: int):
-    """(unit, strided) results of the full phase-1+2 sweep pair."""
-    groups, chunking, padded = chunk_groups(raw, dfa, chunk_size)
-    tables = get_tables(padded, k)  # process cache amortises k=8 builds
-
-    unit_vectors = compute_transition_vectors(groups, padded)
-    strided_vectors = compute_transition_vectors_strided(groups, tables)
-
-    starts = chunk_start_states(unit_vectors, padded)
-    unit = compute_emissions(groups, starts, padded, chunking)
-    strided = compute_emissions_strided(groups, starts, tables, chunking)
-    return (unit_vectors, unit), (strided_vectors, strided)
-
-
 def plan_sweeps(raw: np.ndarray, dfa, chunk_size: int, k: int):
-    """(unit, plan) results — the mixed-stride ladder path of
-    :class:`~repro.kernels.strided.KernelPlan`."""
+    """(unit oracle, plan) results of the full phase-1+2 sweep pair, the
+    plan being the :class:`~repro.kernels.KernelPlan` of stride ``k``
+    (the empty plan at k=1)."""
     groups, chunking, padded = chunk_groups(raw, dfa, chunk_size)
-    plan = build_plan(padded, k, chunk_size)
+    plan = get_plan(padded, k, chunk_size)  # cache amortises k=8 builds
     packed = pack_plan(groups, plan)
 
     unit_vectors = compute_transition_vectors(groups, padded)
@@ -87,8 +73,9 @@ def plan_sweeps(raw: np.ndarray, dfa, chunk_size: int, k: int):
 
 
 def assert_sweeps_equal(raw: np.ndarray, dfa, chunk_size: int, k: int):
-    (uv, (ue, uf, ui)), (sv, (se, sf, si)) = both_sweeps(
+    (uv, (ue, uf, ui)), (sv, (se, sf, si)) = plan_sweeps(
         raw, dfa, chunk_size, k)
+    assert sv.shape == uv.shape and se.shape == ue.shape
     np.testing.assert_array_equal(uv, sv)
     np.testing.assert_array_equal(ue, se)
     assert uf == sf
@@ -107,10 +94,10 @@ def test_tricky_inputs_all_strides(dialect, chunk_size):
             assert_sweeps_equal(raw, dfa, chunk_size, k)
 
 
-@pytest.mark.parametrize("k", [2, 4, 8])
+@pytest.mark.parametrize("k", STRIDES)
 def test_invalid_at_every_block_offset(k):
     """The INV sink must be reported at the same byte whether it is hit
-    at a block boundary, mid-block, or in the unit-stride tail."""
+    at a segment boundary, mid-segment, or in the unit-stride tail."""
     dfa = dialect_dfa(Dialect(strip_carriage_return=False))
     for prefix_len in range(14):
         # A stray quote after unquoted data drives RFC 4180 into INV at
@@ -118,25 +105,27 @@ def test_invalid_at_every_block_offset(k):
         data = b"x" * prefix_len + b'a"suffix,more\ndata,rows\n'
         raw = np.frombuffer(data, dtype=np.uint8)
         for chunk_size in (5, 7, 31):
-            assert_sweeps_equal(raw, dfa, chunk_size, k)
+            (_, (_, _, ui)), (_, (_, _, invalid)) = plan_sweeps(
+                raw, dfa, chunk_size, k)
+            assert ui == invalid
             # And the reported position is the real one, not merely equal.
-            _, (_, (_, _, invalid)) = both_sweeps(raw, dfa, chunk_size, k)
             assert invalid is not None
             assert invalid > prefix_len
 
 
 class TestPaddedTail:
-    """Satellite: striding over the padded tail of the chunk grid.
+    """Satellite: plans over the padded tail of the chunk grid.
 
     Inputs whose length is not a multiple of the chunk size leave a
     partially padded final chunk; chunk sizes that are not a multiple of
-    k leave a unit-stride tail in *every* chunk.  Neither may leak
-    padding into the emission stream or the invalid position.
+    k leave narrower ladder segments and a unit-stride tail in *every*
+    chunk.  Neither may leak padding into the emission stream or the
+    invalid position.
     """
 
     DFA = dialect_dfa(Dialect(strip_carriage_return=False))
 
-    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize("k", STRIDES)
     @pytest.mark.parametrize("chunk_size", [5, 6, 7, 31])
     def test_length_not_multiple_of_chunk(self, k, chunk_size):
         for extra in range(1, chunk_size):
@@ -144,28 +133,31 @@ class TestPaddedTail:
             raw = np.frombuffer(data, dtype=np.uint8)
             assert_sweeps_equal(raw, self.DFA, chunk_size, k)
 
-    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize("k", (*STRIDES, 3))
     def test_chunk_not_multiple_of_stride(self, k):
-        # chunk sizes with every possible tail length 0..k-1
+        # chunk sizes with every possible remainder 0..k-1; k=3 is not a
+        # word size, so its segments gather emission bytes, not words
         for chunk_size in range(k, 3 * k + 1):
             data = b"f0,f1,f2\nv0,v1,v2\n" * 3
             raw = np.frombuffer(data, dtype=np.uint8)
             assert_sweeps_equal(raw, self.DFA, chunk_size, k)
 
-    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize("k", STRIDES)
     def test_emissions_cover_exactly_the_input(self, k):
         data = b"a,b\nc,d\ne"
         raw = np.frombuffer(data, dtype=np.uint8)
         groups, chunking, padded = chunk_groups(raw, self.DFA, 4)
-        tables = get_tables(padded, k)
+        plan = get_plan(padded, k, 4)
         starts = chunk_start_states(
-            compute_transition_vectors(groups, padded), padded)
-        emissions, _, invalid = compute_emissions_strided(
-            groups, starts, tables, chunking)
+            compute_transition_vectors_plan(groups, plan), padded)
+        # No packed k-grams passed: the kernel packs them itself, as the
+        # sharded workers rely on.
+        emissions, _, invalid = compute_emissions_plan(
+            groups, starts, plan, chunking)
         assert emissions.shape == (len(data),)
         assert invalid is None
 
-    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize("k", STRIDES)
     def test_invalid_only_in_padding_is_not_reported(self, k):
         # An unclosed quote ends the input mid-string: the padding group
         # keeps the DFA in the quoted state, never INV, and nothing
@@ -173,7 +165,7 @@ class TestPaddedTail:
         data = b'a,"unclosed'
         raw = np.frombuffer(data, dtype=np.uint8)
         for chunk_size in (4, 7, 31):
-            (_, (ue, uf, ui)), (_, (se, sf, si)) = both_sweeps(
+            (_, (ue, uf, ui)), (_, (se, sf, si)) = plan_sweeps(
                 raw, self.DFA, chunk_size, k)
             assert ui is None and si is None
             assert uf == sf
@@ -181,28 +173,21 @@ class TestPaddedTail:
 
 
 class TestPlanParity:
-    """The mixed-stride ladder (:func:`repro.kernels.build_plan`) must be
-    bit-identical to the unit sweep too — this is the path the pipeline
-    actually runs, and at k=8 it exercises the 8+8+8+4+2(+1) cascade the
-    paper's 31-byte chunk decomposes into."""
+    """The plan sweeps over the *canonical minimised* automaton — the
+    automaton the pipeline actually sweeps — against the unit oracles
+    over that same automaton.  At k=8 this exercises the 8+8+8+4+2(+1)
+    cascade the paper's 31-byte chunk decomposes into."""
 
     @pytest.mark.parametrize("dialect", DIALECTS,
                              ids=lambda d: f"{d.delimiter!r}-{d.quote!r}")
     @pytest.mark.parametrize("chunk_size", [5, 8, 31])
     def test_tricky_inputs(self, dialect, chunk_size):
-        dfa = dialect_dfa(dialect)
+        dfa = canonicalize(dialect_dfa(dialect)).dfa
         padded = dfa.with_padding_group()
         for data in TRICKY_INPUTS:
             raw = np.frombuffer(data, dtype=np.uint8)
             for k in strides_for(padded):
-                if k < 2:
-                    continue  # plans exist for k >= 2 only
-                (uv, (ue, uf, ui)), (pv, (pe, pf, pi)) = plan_sweeps(
-                    raw, dfa, chunk_size, k)
-                np.testing.assert_array_equal(uv, pv)
-                np.testing.assert_array_equal(ue, pe)
-                assert uf == pf
-                assert ui == pi
+                assert_sweeps_equal(raw, dfa, chunk_size, k)
 
     def test_invalid_position_recovered_across_segments(self):
         """A stray quote driving RFC 4180 into INV must be located at the

@@ -9,15 +9,18 @@ index of the first symbol read in the INV sink.
 import numpy as np
 import pytest
 
+import repro.core.options as options_module
 from repro import ParPaRawParser, ParseOptions
 from repro.dfa import Dialect, dialect_dfa, rfc4180_dfa
 from repro.errors import ParseError
+from repro.exec import ShardedExecutor
 from repro.kernels import (
     DEFAULT_TABLE_BUDGET,
     StridedTables,
     build_plan,
     build_tables,
-    pack_kgrams,
+    cache_info,
+    pack_plan,
     pick_stride,
     plan_nbytes,
     plan_segments,
@@ -26,6 +29,7 @@ from repro.kernels import (
 )
 from repro.kernels.strided import _EMISSION_WORD_DTYPES, SUPPORTED_STRIDES
 from repro.obs import MetricsRegistry
+from repro.plan import Planner
 
 
 def unpack_kgram(kgram: int, k: int, num_groups: int) -> list[int]:
@@ -140,13 +144,68 @@ class TestStrideSelection:
             resolve_stride(64, padded_csv_dfa)
 
 
-def test_pack_kgrams_big_endian():
-    groups = np.array([[0, 1, 2, 3, 4, 5, 1]], dtype=np.uint8)
-    packed = pack_kgrams(groups, 3, 6)
-    # Two full blocks; the trailing symbol is left for the tail sweep.
-    assert packed.shape == (1, 2)
-    assert packed[0, 0] == 0 * 36 + 1 * 6 + 2
-    assert packed[0, 1] == 3 * 36 + 4 * 6 + 5
+def test_pack_plan_big_endian(padded_csv_dfa):
+    g = padded_csv_dfa.num_groups
+    groups = (np.array([[0, 1, 2, 3, 4, 5, 1]]) % g).astype(np.uint8)
+    plan = build_plan(padded_csv_dfa, 3, 7)
+    # Two k=3 segments; the trailing symbol is left for the tail sweep.
+    assert plan.segments == ((0, 3), (3, 3)) and plan.unit_tail == 1
+    packed = pack_plan(groups, plan)
+    assert set(packed) == {3}
+    assert packed[3].shape == (1, 2)
+    row = groups[0].astype(int)
+    assert packed[3][0, 0] == row[0] * g * g + row[1] * g + row[2]
+    assert packed[3][0, 1] == row[3] * g * g + row[4] * g + row[5]
+
+
+class TestUnitStridePlan:
+    """Unit stride is the empty k=1 plan, not a path of its own."""
+
+    def test_k1_plan_is_empty(self, padded_csv_dfa):
+        dfa = padded_csv_dfa
+        plan = build_plan(dfa, 1, 31)
+        assert plan.segments == ()
+        assert plan.unit_tail == plan.chunk_size == 31
+        assert plan.tables == {}
+        assert plan.nbytes == plan_nbytes(dfa.num_groups, dfa.num_states,
+                                          1) == 0
+        groups = np.zeros((3, 31), dtype=np.uint8)
+        assert pack_plan(groups, plan) == {}
+
+    def test_k1_parse_builds_no_tables(self):
+        before = cache_info()
+        ParPaRawParser(ParseOptions(kernel_stride=1)).parse(
+            b'a,"b,c"\n1,2\n' * 20)
+        after = cache_info()
+        assert after["misses"] == before["misses"]
+        assert after["hits"] == before["hits"]
+
+
+def test_stride_resolved_once_per_options(monkeypatch):
+    """Serial and sharded parses, ``Planner.observe`` and
+    ``Planner.estimate_cost`` all read one options instance's stride,
+    resolved on first use."""
+    calls = []
+    real = options_module.resolve_stride
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(options_module, "resolve_stride", counting)
+    options = ParseOptions()
+    data = b'a,"b,c"\n1,2\n' * 20
+    metrics = MetricsRegistry()
+    result = ParPaRawParser(options, metrics=metrics).parse(data)
+    with ShardedExecutor(workers=2, shard_bytes=50,
+                         use_processes=False) as sharded:
+        ParPaRawParser(options, executor=sharded).parse(data)
+    planner = Planner()
+    planner.observe(result)
+    planner.estimate_cost(len(data), options)
+    assert len(calls) == 1
+    assert metrics.gauges["stage.stv.stride"] \
+        == metrics.gauges["stage.tag.stride"] == options.resolved_stride()
 
 
 def test_tables_are_frozen(padded_csv_dfa):

@@ -114,9 +114,7 @@ class TestMonotoneConvergence:
         for _ in range(8):
             stats = decision.stats
             # Model prediction for the exact config estimate_cost prices.
-            from repro.kernels.strided import resolve_stride
-            stride = resolve_stride(base.kernel_stride, base._sweep_dfa(),
-                                    base.kernel_table_budget)
+            stride = base.resolved_stride()
             modelled = planner._modelled(stats, len(data),
                                          base.chunk_size, stride,
                                          "field-run")
