@@ -35,7 +35,6 @@ import pathlib
 import sys
 
 from repro import Dialect, ParPaRawParser, ParseOptions
-from repro.core.options import PartitionStrategy, TaggingImpl
 from repro.kernels import clear_cache
 from repro.plan import Planner
 from repro.workloads import generate_taxi_like, generate_yelp_like
@@ -72,14 +71,8 @@ def _resolved_key(options: ParseOptions) -> tuple:
     the tagging implementation selects.  Cells that resolve identically
     (e.g. auto choosing exactly the chunk-64 grid point) are the same
     measurement, not two noisy ones."""
-    stride = options.resolved_stride()
-    if options.partition_strategy is not None:
-        strategy = options.partition_strategy.value
-    else:
-        strategy = PartitionStrategy.FIELD_RUN.value \
-            if options.tagging_impl is TaggingImpl.GLOBAL \
-            else PartitionStrategy.RADIX.value
-    return options.chunk_size, stride, strategy
+    return (options.chunk_size, options.resolved_stride(),
+            options.resolved_partition_strategy().value)
 
 
 def bench_workload(name: str, dialect: Dialect, data: bytes,

@@ -54,7 +54,7 @@ from repro import (
     PartitionStrategy,
     TaggingMode,
 )
-from repro.columnar.serialize import serialize_table, write_feather
+from repro.columnar.serialize import write_feather
 from repro.exec import SerialExecutor, ShardedExecutor
 from repro.gpusim.cost_model import PipelineCostModel, WorkloadStats
 from repro.kernels.strided import DEFAULT_TABLE_BUDGET
@@ -87,7 +87,6 @@ def _options_from_args(args: argparse.Namespace) -> ParseOptions:
         kernel_stride=args.stride,
         kernel_table_budget=getattr(args, "table_budget",
                                     DEFAULT_TABLE_BUDGET),
-        minimize_dfa=not getattr(args, "no_minimize", False),
         tagging_mode=TaggingMode(args.tagging_mode),
         partition_strategy=None if args.partition_strategy == "auto"
         else PartitionStrategy(args.partition_strategy),
@@ -174,16 +173,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
     if args.timings:
         _print_timings(result)
     if args.output:
-        fmt = getattr(args, "output_format", "auto") or "auto"
-        if fmt == "auto":
-            fmt = "feather" if args.output.endswith(".feather") else "rprw"
-        if fmt == "feather":
-            write_feather(table, args.output)
-        else:
-            with open(args.output, "wb") as handle:
-                handle.write(serialize_table(table))
+        write_feather(table, args.output)
         print(f"wrote {table.num_rows} rows x {table.num_columns} columns "
-              f"to {args.output} ({fmt})")
+              f"to {args.output} (feather)")
         return 0
     if args.summary:
         print(f"records:  {result.num_records}")
@@ -380,9 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_TABLE_BUDGET, metavar="BYTES",
                        help="byte ceiling for the auto stride picker's "
                             "precomposed k-gram tables (default: 4 MiB)")
-        p.add_argument("--no-minimize", action="store_true",
-                       help="run sweeps on the raw dialect DFA instead of "
-                            "the canonical minimised automaton")
         p.add_argument("--tagging-mode", default="tagged",
                        choices=[m.value for m in TaggingMode])
         p.add_argument("--partition-strategy", default="auto",
@@ -413,13 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print statistics instead of rows")
     p_parse.add_argument("--infer-types", action="store_true")
     p_parse.add_argument("--output", metavar="OUT",
-                         help="write serialised columnar output to OUT")
-    p_parse.add_argument("--output-format",
-                         choices=("auto", "rprw", "feather"),
-                         default="auto",
-                         help="serialisation format for --output: the "
-                              "compact RPRW stream or the Feather-style "
-                              "framed file (auto = by .feather extension)")
+                         help="write the table to OUT in the "
+                              "Feather-style columnar framing")
     p_parse.add_argument("--timings", action="store_true",
                          help="print the per-stage StepTimer breakdown")
     p_parse.add_argument("--trace", metavar="OUT.json",

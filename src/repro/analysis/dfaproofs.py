@@ -2,10 +2,10 @@
 
 Companion tier to :mod:`repro.analysis.oplaws`: where the operator-law
 tier licenses the *scan decomposition*, this tier licenses the *automaton
-substitution* the pipeline performs when ``ParseOptions.minimize_dfa`` is
-on — every sweep runs over :func:`repro.dfa.minimize.canonicalize`'s
-output instead of the raw dialect DFA, so the whole parse is only correct
-if that substitution is behaviour-preserving for every automaton we ship.
+substitution* the pipeline always performs — every sweep runs over
+:func:`repro.dfa.minimize.canonicalize`'s output instead of the raw
+dialect DFA, so the whole parse is only correct if that substitution is
+behaviour-preserving for every automaton we ship.
 
 The proofs quantify over :data:`repro.dfa.registry.REGISTERED_AUTOMATA`
 (the ground truth for "which dialects exist") and are exhaustive, not

@@ -22,12 +22,7 @@ from repro.columnar.buffers import (
 from repro.columnar import guard
 from repro.columnar.ops import concat_buffers, slice_buffers, take_buffers
 from repro.columnar.table import Column, Table, concat_tables
-from repro.columnar.serialize import (
-    deserialize_table,
-    read_feather,
-    serialize_table,
-    write_feather,
-)
+from repro.columnar.serialize import read_feather, write_feather
 
 __all__ = [
     "DataType",
@@ -44,8 +39,6 @@ __all__ = [
     "Column",
     "Table",
     "concat_tables",
-    "serialize_table",
-    "deserialize_table",
     "write_feather",
     "read_feather",
 ]

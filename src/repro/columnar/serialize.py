@@ -1,26 +1,12 @@
-"""Serialisation of tables to Arrow-flavoured binary formats.
+"""Serialisation of tables to an Arrow-flavoured binary framing.
 
 The paper's output "complies with the format specified by Apache Arrow"
 (§5) so downstream engines can consume it zero-copy.  This module writes
 a table's buffers — schema description, validity bitmaps, offsets, data —
-into contiguous byte streams, and reads them back, without a ``pyarrow``
-dependency.  Two framings:
-
-**RPRW1** (:func:`serialize_table` / :func:`deserialize_table`) — the
-original compact stream: length-prefixed buffers, native byte order.
-
-Layout::
-
-    magic b"RPRW1"
-    u32 schema_json_length, schema JSON (names, dtypes, scales, nullable)
-    u64 num_rows
-    per column:
-        u64 validity_bytes,  validity bitmap buffer
-        [variable-width only] u64 offsets_bytes, int64 offsets buffer
-        u64 data_bytes, data buffer
-
-**Feather-style** (:func:`write_feather` / :func:`read_feather`) — a
-random-access framing in the spirit of Feather/Arrow IPC files: a
+into one contiguous byte stream, and reads it back, without a ``pyarrow``
+dependency.  There is one framing, Feather-style (:func:`write_feather` /
+:func:`read_feather`): what ``parse --output`` writes and what ``serve``
+returns.  It is random-access in the spirit of Feather/Arrow IPC files: a
 versioned JSON header maps every buffer (explicit numpy dtype string,
 hence explicit endianness; absolute offset; byte length), and the buffer
 bytes follow verbatim at 8-byte-aligned offsets.  A reader can locate and
@@ -35,8 +21,8 @@ Layout::
     buffer bytes, each buffer starting at an 8-byte-aligned offset
     (absolute offsets + byte lengths recorded in the header)
 
-Both readers reject malformed streams (bad magic, truncation, trailing
-bytes) and both writers guard their length fields against overflow with
+The reader rejects malformed streams (bad magic, truncation, trailing
+bytes) and the writer guards its length fields against overflow with
 :class:`~repro.errors.ColumnarError` instead of silently truncating.
 """
 
@@ -53,14 +39,12 @@ from repro.columnar.schema import DataType, Field, Schema
 from repro.columnar.table import Column, Table
 from repro.errors import ColumnarError
 
-__all__ = ["serialize_table", "deserialize_table", "write_feather",
-           "read_feather"]
+__all__ = ["write_feather", "read_feather"]
 
-MAGIC = b"RPRW1"
 FEATHER_MAGIC = b"RPFE"
 FEATHER_VERSION = 1
 
-#: Maximum values representable in the formats' length fields.  Module
+#: Maximum values representable in the framing's length fields.  Module
 #: constants (rather than inline literals) so overflow tests can lower
 #: them without materialising multi-GiB payloads.
 _U32_MAX = 0xFFFF_FFFF
@@ -74,11 +58,11 @@ def _checked_u32(value: int, what: str) -> bytes:
     return struct.pack("<I", value)
 
 
-def _checked_u64(value: int, what: str) -> bytes:
+def _checked_u64(value: int, what: str) -> int:
     if value > _U64_MAX:
         raise ColumnarError(
-            f"{what} ({value}) exceeds the u64 length field")
-    return struct.pack("<Q", value)
+            f"{what} ({value} bytes) exceeds the u64 length field")
+    return value
 
 
 def _column_wire_buffers(column: Column
@@ -88,7 +72,7 @@ def _column_wire_buffers(column: Column
     """The (validity, offsets, values) triple as written to disk.
 
     Zero-copy sliced columns view a larger shared values buffer through
-    non-zero-based offsets; on the wire both formats are canonical —
+    non-zero-based offsets; on the wire they are canonical —
     offsets rebased to zero and values cut to the referenced range.
     """
     validity = np.asarray(column.validity.buffer)
@@ -104,97 +88,10 @@ def _column_wire_buffers(column: Column
     return validity, None, column.data
 
 
-def _schema_json(schema: Schema) -> list[dict]:
-    return [
-        {
-            "name": f.name,
-            "dtype": f.dtype.value,
-            "nullable": f.nullable,
-            "decimal_scale": f.decimal_scale,
-        }
-        for f in schema
-    ]
-
-
-def _schema_from_json(entries: list[dict]) -> Schema:
-    return Schema([Field(name=entry["name"],
-                         dtype=DataType(entry["dtype"]),
-                         nullable=entry["nullable"],
-                         decimal_scale=entry["decimal_scale"])
-                   for entry in entries])
-
-
-# -- RPRW1: compact length-prefixed stream -----------------------------------
-
-def _write_buffer(parts: list[bytes], buffer: np.ndarray) -> None:
-    raw = buffer.tobytes()
-    parts.append(_checked_u64(len(raw), "buffer"))
-    parts.append(raw)
-
-
-def serialize_table(table: Table) -> bytes:
-    """Serialise a table into one byte string."""
-    schema_json = json.dumps(_schema_json(table.schema)).encode("utf-8")
-
-    parts: list[bytes] = [MAGIC,
-                          _checked_u32(len(schema_json), "schema JSON"),
-                          schema_json,
-                          _checked_u64(table.num_rows, "row count")]
-    for column in table.columns:
-        validity, offsets, values = _column_wire_buffers(column)
-        _write_buffer(parts, validity)
-        if offsets is not None:
-            _write_buffer(parts, offsets)
-        _write_buffer(parts, values)
-    return b"".join(parts)
-
-
-class _Reader:
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.raw):
-            raise ColumnarError("truncated table stream")
-        out = self.raw[self.pos:self.pos + count]
-        self.pos += count
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def buffer(self, dtype) -> np.ndarray:
-        length = self.u64()
-        return np.frombuffer(self.take(length), dtype=dtype).copy()
-
-
-def deserialize_table(raw: bytes) -> Table:
-    """Read a table serialised by :func:`serialize_table`."""
-    reader = _Reader(raw)
-    if reader.take(len(MAGIC)) != MAGIC:
-        raise ColumnarError("not a serialised table (bad magic)")
-    schema = _schema_from_json(
-        json.loads(reader.take(reader.u32()).decode("utf-8")))
-    num_rows = reader.u64()
-
-    columns: list[Column] = []
-    for f in schema:
-        validity_buf = reader.buffer(np.uint8)
-        validity = ValidityBitmap(validity_buf, num_rows)
-        if f.dtype.is_variable_width:
-            offsets = reader.buffer(np.int64)
-            data = reader.buffer(np.uint8)
-            columns.append(Column(f, data, validity, offsets))
-        else:
-            data = reader.buffer(f.dtype.numpy_dtype)
-            columns.append(Column(f, data, validity))
-    if reader.pos != len(raw):
-        raise ColumnarError("trailing bytes after table stream")
-    return Table(schema, columns)
+def _field_json(field: Field) -> dict:
+    return {"name": field.name, "dtype": field.dtype.value,
+            "nullable": field.nullable,
+            "decimal_scale": field.decimal_scale}
 
 
 # -- Feather-style: versioned header + aligned verbatim buffers --------------
@@ -228,16 +125,13 @@ def write_feather(table: Table, path: str | Path | None = None) -> bytes:
             if buf is None:
                 continue
             cursor = _aligned(cursor)
-            nbytes = int(buf.nbytes)
-            if nbytes > _U64_MAX:
-                raise ColumnarError(
-                    f"{kind} buffer of column {field.name!r} ({nbytes} "
-                    f"bytes) exceeds the u64 length field")
+            nbytes = _checked_u64(int(buf.nbytes), f"{kind} buffer of "
+                                  f"column {field.name!r}")
             buffers.append({"kind": kind, "dtype": buf.dtype.str,
                             "offset": cursor, "length": nbytes})
             payload.append(buf)
             cursor += nbytes
-        column_entries.append({**_schema_json(Schema([field]))[0],
+        column_entries.append({**_field_json(field),
                                "buffers": buffers})
 
     header = {

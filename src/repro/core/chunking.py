@@ -98,24 +98,21 @@ def chunk_groups(data: np.ndarray, dfa: Dfa,
 
 
 def chunk_groups_canonical(
-        data: np.ndarray, dfa: Dfa, chunk_size: int, minimize: bool = True
-) -> tuple[np.ndarray, Chunking, Dfa, Minimization | None]:
+        data: np.ndarray, dfa: Dfa, chunk_size: int
+) -> tuple[np.ndarray, Chunking, Dfa, Minimization]:
     """:func:`chunk_groups` over the canonical minimised automaton.
 
-    When ``minimize`` is set, the automaton is canonicalised first
+    The automaton is canonicalised first
     (:func:`repro.dfa.minimize.canonicalize` — cached per process) and
     the chunk grid is built from the canonical ``symbol_groups``, so
     every downstream sweep runs in the smaller canonical state/group
     space: smaller stride tables (often unlocking wider strides) and
     behavioural kernel-cache sharing.  The returned ``Minimization``
     carries the maps back to the source automaton's state space
-    (``state_rep``) for consumers that report states to the caller —
-    parses are bit-identical either way.  ``minimize=False`` degrades to
-    plain :func:`chunk_groups` with a ``None`` map.
+    (``state_rep``) for consumers that report states to the caller.
+    :func:`chunk_groups` keeps the raw automaton (the test oracles'
+    path).
     """
-    if not minimize:
-        groups, chunking, padded_dfa = chunk_groups(data, dfa, chunk_size)
-        return groups, chunking, padded_dfa, None
     canon = canonicalize(dfa)
     groups, chunking, padded_dfa = chunk_groups(data, canon.dfa, chunk_size)
     return groups, chunking, padded_dfa, canon

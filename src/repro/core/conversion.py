@@ -182,7 +182,7 @@ def convert_column(field: Field, css: np.ndarray, index: ColumnIndex,
         Output row count.
     options:
         Parse options (vectorised vs scalar conversion, thresholds,
-        strictness, fused vs copying buffer assembly).
+        strictness).
     convert_stats:
         Optional accumulator for byte-copy accounting (the convert
         stage's ``convert.bytes.copied`` / ``convert.zero_copy_columns``
@@ -222,12 +222,12 @@ def convert_column(field: Field, css: np.ndarray, index: ColumnIndex,
     fields_tile_css = lengths.size > 0 and _contiguous(starts, lengths)
 
     if field.dtype is DataType.STRING:
-        column = None
-        if options.fused_convert and rows_ascending and fields_tile_css:
+        # A non-empty default string has bytes the CSS does not hold.
+        fills_default = isinstance(default, str) and bool(default)
+        if rows_ascending and fields_tile_css and not fills_default:
             column = _fused_string_column(field, css, starts, lengths,
                                           out_rows, num_rows, default,
                                           null_rows)
-        if column is not None:
             if convert_stats is not None:
                 convert_stats.zero_copy_columns += 1
         else:
@@ -244,8 +244,7 @@ def convert_column(field: Field, css: np.ndarray, index: ColumnIndex,
     # and the parse-ok mask *is* the validity; no default pre-fill, no
     # scatter.  (NULL-literal holes break full coverage, so they imply
     # the scatter path.)
-    fused_fixed = (options.fused_convert and rows_ascending
-                   and n_fields == num_rows and num_rows > 0)
+    fused_fixed = rows_ascending and n_fields == num_rows and num_rows > 0
     if not fused_fixed:
         data = np.zeros(num_rows, dtype=field.dtype.numpy_dtype)
         if default is None:
@@ -254,7 +253,7 @@ def convert_column(field: Field, css: np.ndarray, index: ColumnIndex,
             data[:] = default
             validity = np.ones(num_rows, dtype=bool)
 
-    if options.fused_convert and fields_tile_css:
+    if fields_tile_css:
         # Fields already packed: parse straight off the CSS slice.
         base = int(starts[0])
         buf = css[base:int(starts[-1] + lengths[-1])]
@@ -311,22 +310,17 @@ def _fused_string_column(field: Field, css: np.ndarray,
                          starts: np.ndarray, lengths: np.ndarray,
                          out_rows: np.ndarray, num_rows: int,
                          default,
-                         null_rows: np.ndarray) -> Column | None:
+                         null_rows: np.ndarray) -> Column:
     # parlint: borrowed=css returns-borrowed -- the Column wraps a CSS slice
     """Zero-copy string column: the value buffer is a slice of the CSS.
 
     Preconditions checked by the caller: fields tile a contiguous CSS
-    range and output rows are ascending — then the CSS slice *is* the
-    Arrow value buffer byte-for-byte (same field order, no terminators in
-    between), and only the per-row offsets need computing (rows without
-    a field get zero length: NULL or empty-default).  Returns ``None``
-    when a non-empty default would have to materialise bytes the CSS
-    does not contain.
+    range, output rows are ascending and there is no non-empty default
+    string — then the CSS slice *is* the Arrow value buffer byte-for-byte
+    (same field order, no terminators in between), and only the per-row
+    offsets need computing (rows without a field get zero length: NULL
+    or empty-default).
     """
-    default_bytes = (default.encode("utf-8")
-                     if isinstance(default, str) else None)
-    if default_bytes:
-        return None
     values = protect(css[int(starts[0]):int(starts[-1] + lengths[-1])])
     row_lengths = np.zeros(num_rows, dtype=np.int64)
     row_lengths[out_rows] = lengths
@@ -346,11 +340,9 @@ def _convert_string_column(field: Field, css: np.ndarray,
                            starts: np.ndarray, lengths: np.ndarray,
                            out_rows: np.ndarray, num_rows: int,
                            default,
-                           null_rows: np.ndarray | None = None) -> Column:
+                           null_rows: np.ndarray) -> Column:
     # parlint: borrowed=css -- read-only source; data/offsets are fresh
     """Assemble a variable-width column: offsets buffer + data buffer."""
-    if null_rows is None:
-        null_rows = np.empty(0, dtype=np.int64)
     default_bytes = (default.encode("utf-8")
                      if isinstance(default, str) else None)
     row_lengths = np.zeros(num_rows, dtype=np.int64)

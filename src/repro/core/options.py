@@ -98,6 +98,14 @@ DEFAULT_TERMINATOR = 0x1E
 class ParseOptions:
     """Everything configurable about a parse.
 
+    Not configurable: every sweep runs on the canonical minimised
+    automaton (:mod:`repro.dfa.minimize`), whose behaviour
+    :mod:`repro.analysis.dfaproofs` proves equal to the dialect DFA's;
+    minimisation shrinks the ``G**k`` stride tables and lets equivalent
+    dialects share kernel-cache entries.  Convert emits zero-copy
+    buffers whenever the fields allow it and copies otherwise (see
+    :func:`repro.core.conversion.convert_column`).
+
     Parameters
     ----------
     dialect:
@@ -126,21 +134,14 @@ class ParseOptions:
         worker memory.  An explicitly requested stride whose table plan
         cannot fit the budget is rejected at construction time — raise
         the budget alongside the stride.
-    minimize_dfa:
-        Run every sweep on the canonical minimised automaton
-        (:mod:`repro.dfa.minimize`) instead of the raw dialect DFA.
-        Minimisation merges equivalent states and byte groups, which
-        shrinks the ``G**k`` stride tables (often unlocking k=8) and
-        lets behaviourally equivalent dialects share kernel-cache
-        entries.  Parses are bit-identical either way; ``False`` keeps
-        the raw automaton (ablation/debugging).
     tagging_mode / tagging_impl:
         See :class:`TaggingMode` / :class:`TaggingImpl`.
     partition_strategy:
         How phase 3a brings each column's symbols together
         (:class:`PartitionStrategy`).  ``None`` (default) picks
-        field-run under global tagging and radix under chunked tagging;
-        both produce bit-identical partitions.
+        field-run under global tagging and radix under chunked tagging
+        (:meth:`resolved_partition_strategy`); both produce
+        bit-identical partitions.
     inline_terminator:
         Terminator byte for ``TaggingMode.INLINE``.
     column_count_policy:
@@ -156,14 +157,6 @@ class ParseOptions:
         Column indexes to materialise; ``None`` keeps all.
     infer_types:
         Infer numeric column types when no schema is given (§4.3).
-    fused_convert:
-        Emit output buffers directly off the partition's segment gather
-        when possible: string columns become zero-copy slices of the
-        column CSS (record-tagged mode, no defaults/NULL literals in
-        play) and fully-populated fixed-width columns adopt the parsed
-        value vector without a scatter.  Bit-identical table contents
-        either way; ``False`` forces the copying reference path (used by
-        the parity tests and as the benchmark baseline).
     vectorized_conversion:
         Use the NumPy field converters (production) or the scalar
         reference converters (ablation/verification).
@@ -193,7 +186,6 @@ class ParseOptions:
     chunk_size: int = 31
     kernel_stride: int | None = None
     kernel_table_budget: int = DEFAULT_TABLE_BUDGET
-    minimize_dfa: bool = True
     tagging_mode: TaggingMode = TaggingMode.TAGGED
     tagging_impl: TaggingImpl = TaggingImpl.GLOBAL
     partition_strategy: PartitionStrategy | None = None
@@ -204,7 +196,6 @@ class ParseOptions:
     skip_records: frozenset[int] = frozenset()
     select_columns: tuple[int, ...] | None = None
     infer_types: bool = False
-    fused_convert: bool = True
     vectorized_conversion: bool = True
     null_literals: tuple[str, ...] = ()
     block_threshold: int = 256
@@ -288,18 +279,25 @@ class ParseOptions:
         object.__setattr__(self, "_stride_cache", stride)
         return stride
 
+    def resolved_partition_strategy(self) -> PartitionStrategy:
+        """The partition strategy a parse with these options runs
+        (``None`` = field-run under global tagging, radix under
+        chunked)."""
+        if self.partition_strategy is not None:
+            return self.partition_strategy
+        return PartitionStrategy.FIELD_RUN \
+            if self.tagging_impl is TaggingImpl.GLOBAL \
+            else PartitionStrategy.RADIX
+
     def _sweep_dfa(self) -> Dfa:
         """The padded automaton the strided sweeps will run with.
 
-        Mirrors the chunk stage: canonical minimisation (when enabled)
-        followed by the padding group — the shape stride-table budgets
-        are sized against.
+        Mirrors the chunk stage: canonical minimisation followed by the
+        padding group — the shape stride-table budgets are sized
+        against.
         """
         from repro.dfa.minimize import canonicalize
-        dfa = self.resolved_dfa()
-        if self.minimize_dfa:
-            dfa = canonicalize(dfa).dfa
-        return dfa.with_padding_group()
+        return canonicalize(self.resolved_dfa()).dfa.with_padding_group()
 
     def with_(self, **changes) -> "ParseOptions":
         """A modified copy (convenience over :func:`dataclasses.replace`)."""

@@ -137,14 +137,12 @@ class ChunkedInput(RawInput):
     groups: np.ndarray
     #: Grid geometry.
     chunking: Chunking
-    #: The automaton extended with the padding group.  When
-    #: ``minimize_dfa`` is on this is the *canonical minimised* automaton
-    #: (plus padding group) and the chunk grid holds canonical group ids.
+    #: The *canonical minimised* automaton extended with the padding
+    #: group; the chunk grid holds its group ids.
     padded_dfa: Dfa
     #: The minimisation that produced the canonical automaton — carries
-    #: the maps back to the source state space; ``None`` when
-    #: ``minimize_dfa`` is off.
-    canon: Minimization | None = field(default=None, kw_only=True)
+    #: the maps back to the source state space.
+    canon: Minimization = field(kw_only=True)
 
 
 @dataclass
@@ -319,9 +317,8 @@ class PruneStage(Stage):
 class ChunkStage(Stage):
     """Cut the input into the chunk grid, one chunk per logical thread.
 
-    With ``ParseOptions.minimize_dfa`` (the default) the grid is built
-    over the canonical minimised automaton, so every downstream sweep
-    runs in the smallest equivalent state/group space;
+    The grid is built over the canonical minimised automaton, so every
+    downstream sweep runs in the smallest equivalent state/group space;
     :class:`TagStage` maps the final state back to the source
     automaton before validation.
     """
@@ -333,8 +330,7 @@ class ChunkStage(Stage):
 
     def run(self, ctx, payload: RawInput) -> ChunkedInput:
         groups, chunking, padded_dfa, canon = chunk_groups_canonical(
-            payload.raw, ctx.dfa, ctx.options.chunk_size,
-            minimize=ctx.options.minimize_dfa)
+            payload.raw, ctx.dfa, ctx.options.chunk_size)
         return ChunkedInput(raw=payload.raw, input_bytes=payload.input_bytes,
                             groups=groups, chunking=chunking,
                             padded_dfa=padded_dfa, canon=canon)
@@ -406,11 +402,10 @@ class TagStage(Stage):
         emissions, final_state, invalid_position = compute_emissions_plan(
             payload.groups, payload.start_states, payload.plan,
             payload.chunking, payload.packed_kgrams)
-        if payload.canon is not None:
-            # The sweeps ran in canonical state space; report the final
-            # state as its source-automaton representative so validation
-            # (which speaks the source automaton) reads it directly.
-            final_state = int(payload.canon.state_rep[final_state])
+        # The sweeps ran in canonical state space; report the final
+        # state as its source-automaton representative so validation
+        # (which speaks the source automaton) reads it directly.
+        final_state = int(payload.canon.state_rep[final_state])
         if ctx.metrics.enabled:
             ctx.metrics.gauge("stage.tag.stride", payload.plan.k)
         tags = self.tag(ctx.options, emissions, final_state)
@@ -608,9 +603,9 @@ class ValidateStage(Stage):
 class PartitionStage(Stage):
     """Phase 3a: stable column partition + CSS post-processing (§3.3).
 
-    Selects the partition strategy: ``ParseOptions.partition_strategy``
-    when set, otherwise field-run under the production GLOBAL tagger and
-    the GPU-faithful radix sort under the paper-faithful CHUNKED one.
+    Runs :meth:`ParseOptions.resolved_partition_strategy`: field-run
+    under the production GLOBAL tagger and the GPU-faithful radix sort
+    under the paper-faithful CHUNKED one, unless set explicitly.
     Both strategies produce bit-identical :class:`PartitionResult` values,
     so everything downstream is untouched by the choice.
     """
@@ -620,18 +615,10 @@ class PartitionStage(Stage):
     input_type = ValidatedInput
     output_type = PartitionedInput
 
-    @staticmethod
-    def resolve_strategy(options: ParseOptions) -> PartitionStrategy:
-        """The strategy this parse runs with (auto = by tagging impl)."""
-        if options.partition_strategy is not None:
-            return options.partition_strategy
-        return PartitionStrategy.FIELD_RUN \
-            if options.tagging_impl is TaggingImpl.GLOBAL \
-            else PartitionStrategy.RADIX
-
     def run(self, ctx, payload: ValidatedInput) -> PartitionedInput:
         options = ctx.options
-        if self.resolve_strategy(options) is PartitionStrategy.FIELD_RUN:
+        if options.resolved_partition_strategy() \
+                is PartitionStrategy.FIELD_RUN:
             part = partition_field_runs(payload.data_ext, payload.keep,
                                         payload.delim_positions,
                                         payload.segment_columns,

@@ -161,8 +161,7 @@ def _close_shard(handle) -> None:
 
 # parlint: worker -- runs in pool processes; must stay pure and picklable
 def _shard_contexts(shard, dfa: Dfa, chunk_size: int, stride: int = 1,
-                    minimize: bool = True, shard_index: int = 0,
-                    observe: bool = False
+                    shard_index: int = 0, observe: bool = False
                     ) -> tuple[np.ndarray, np.ndarray, tuple | None]:
     """Worker phase 1: shard-local STVs, their scan, and the composite.
 
@@ -171,10 +170,10 @@ def _shard_contexts(shard, dfa: Dfa, chunk_size: int, stride: int = 1,
     shard-entry state to the state entering chunk ``c``) and ``composite``
     maps a shard-entry state to the state after the shard's last byte
     (tail padding uses the identity group, so it never perturbs the
-    composition).  With ``minimize`` the sweeps (and hence the returned
-    vectors) live in the *canonical* state space — canonicalisation is a
-    pure function of the automaton, so every worker and the combining
-    parent agree on it without shipping the canonical form around.
+    composition).  The sweeps (and hence the returned vectors) live in
+    the *canonical* state space — canonicalisation is a pure function of
+    the automaton, so every worker and the combining parent agree on it
+    without shipping the canonical form around.
     ``obs`` carries the worker's spans/metrics when observing (``None``
     otherwise).
     """
@@ -184,8 +183,8 @@ def _shard_contexts(shard, dfa: Dfa, chunk_size: int, stride: int = 1,
         start = time.perf_counter()  # parlint: disable=PPR303 -- obs timing
         with tracer.span("worker:contexts", shard=shard_index,
                          bytes=int(raw.size)) if tracer else _NO_SPAN:
-            groups, _, padded_dfa, _canon = chunk_groups_canonical(
-                raw, dfa, chunk_size, minimize)
+            groups, _, padded_dfa, _ = chunk_groups_canonical(
+                raw, dfa, chunk_size)
             plan = get_plan(padded_dfa, stride, chunk_size,
                             metrics or NULL_METRICS)
             vectors = compute_transition_vectors_plan(groups, plan)
@@ -203,18 +202,17 @@ def _shard_contexts(shard, dfa: Dfa, chunk_size: int, stride: int = 1,
 # parlint: worker -- runs in pool processes; must stay pure and picklable
 def _shard_tags(shard, dfa: Dfa, chunk_size: int,
                 start_states: np.ndarray, stride: int = 1,
-                minimize: bool = True, shard_index: int = 0,
-                observe: bool = False) -> tuple:
+                shard_index: int = 0, observe: bool = False) -> tuple:
     """Worker phase 2: the shard's emissions.
 
     Returns ``(emissions, final_state, invalid_position, obs)``: the
     shard's emission codes, the DFA state after its last byte, the first
     shard-relative offset at which the automaton sat in the INV sink
     (``None`` if never), and the worker's spans/metrics when observing.
-    With ``minimize`` the sweep runs in canonical state space (and
-    ``start_states`` arrive canonical, from phase 1's canonical
-    vectors); the returned ``final_state`` is mapped back to the source
-    automaton, which is what validation speaks.
+    The sweep runs in canonical state space (and ``start_states``
+    arrive canonical, from phase 1's canonical vectors); the returned
+    ``final_state`` is mapped back to the source automaton, which is
+    what validation speaks.
     """
     raw, handle = _open_shard(shard)
     try:
@@ -223,14 +221,13 @@ def _shard_tags(shard, dfa: Dfa, chunk_size: int,
         with tracer.span("worker:tags", shard=shard_index,
                          bytes=int(raw.size)) if tracer else _NO_SPAN:
             groups, chunking, padded_dfa, canon = chunk_groups_canonical(
-                raw, dfa, chunk_size, minimize)
+                raw, dfa, chunk_size)
             plan = get_plan(padded_dfa, stride, chunk_size,
                             metrics or NULL_METRICS)
             emissions, final_state, invalid_position = \
                 compute_emissions_plan(groups, start_states, plan,
                                        chunking)
-            if canon is not None:
-                final_state = int(canon.state_rep[final_state])
+            final_state = int(canon.state_rep[final_state])
         obs = _pack_obs(tracer, metrics, "tags", start, int(raw.size))
         return emissions, final_state, invalid_position, obs
     finally:
@@ -330,10 +327,9 @@ class ShardedExecutor(Executor):
         raw = payload.raw
         tracer, metrics = ctx.tracer, ctx.metrics
         observe = tracer.enabled or metrics.enabled
-        minimize = options.minimize_dfa
-        # The automaton the workers sweep with (canonical when
-        # minimising), whose start state the combine scan indexes.
-        run_dfa = canonicalize(ctx.dfa).dfa if minimize else ctx.dfa
+        # The canonical automaton the workers sweep with, whose start
+        # state the combine scan indexes.
+        run_dfa = canonicalize(ctx.dfa).dfa
         stride = options.resolved_stride()
         bounds = self._shard_bounds(int(raw.size), options.chunk_size)
         mapper = self._mapper(len(bounds))
@@ -364,7 +360,6 @@ class ShardedExecutor(Executor):
                                            repeat(ctx.dfa),
                                            repeat(options.chunk_size),
                                            repeat(stride),
-                                           repeat(minimize),
                                            range(len(bounds)),
                                            repeat(observe)))
             if metrics.enabled:
@@ -390,9 +385,8 @@ class ShardedExecutor(Executor):
                                            for _, composite, _ in contexts])
                     entering = scan_transition_vectors(composites,
                                                        exclusive=True)
-                    # Composites live in the workers' (canonical when
-                    # minimising) state space; index with that space's
-                    # start state.
+                    # Composites live in the workers' canonical state
+                    # space; index with that space's start state.
                     entering_states = entering[:, run_dfa.start_state]
                     start_states = [
                         local_scan[:, int(state)].astype(np.uint8)
@@ -412,7 +406,6 @@ class ShardedExecutor(Executor):
                         repeat(options.chunk_size),
                         start_states,
                         repeat(stride),
-                        repeat(minimize),
                         range(len(bounds)),
                         repeat(observe)))
                     emissions, final_state, invalid_position = \

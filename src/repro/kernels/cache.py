@@ -19,10 +19,10 @@ The fingerprint is *behavioural*: it hashes the canonical minimised form
 independently constructed but *structurally different yet behaviourally
 equivalent* automata — a sniffer-built CSV DFA with redundant states vs
 the :mod:`repro.dfa.dialects` builder's — map to the same fingerprint.
-Canonical automata (which is what the pipeline feeds through here when
-``ParseOptions.minimize_dfa`` is on) share one entry per behaviour
-class; a non-canonical automaton still gets correct tables for its own
-state numbering through a structural sub-key.
+Canonical automata (which is what the pipeline always feeds through
+here) share one entry per behaviour class; a non-canonical automaton
+(a test sweeping the raw dialect DFA) still gets correct tables for its
+own state numbering through a structural sub-key.
 
 Cache traffic is observable through :mod:`repro.obs`: pass a
 :class:`~repro.obs.metrics.MetricsRegistry` to :func:`get_tables` and it
@@ -95,8 +95,8 @@ def _table_key(dfa: Dfa, k: int) -> tuple:
     """Cache key for ``(dfa, k)``.
 
     Keyed behaviourally when the automaton's transition structure *is*
-    its canonical form (the pipeline's hot path under ``minimize_dfa``,
-    and any hand-built automaton that happens to be minimal) — those
+    its canonical form (the pipeline's only path, and any hand-built
+    automaton that happens to be minimal) — those
     tables are interchangeable across every equivalent automaton with
     the same structure.  A non-canonical automaton gets a structural
     sub-key: its tables are indexed by *its* state numbering and must

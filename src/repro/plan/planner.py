@@ -34,7 +34,6 @@ from repro.core.options import (
     PartitionStrategy,
     TaggingImpl,
 )
-from repro.core.stages import PartitionStage
 from repro.gpusim.cost_model import PipelineCostModel, StepCosts
 from repro.kernels.strided import SUPPORTED_STRIDES, plan_nbytes
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -60,7 +59,9 @@ CHUNK_CANDIDATES = (16, 31, 64, 128)
 STRIDE_SPEEDUP_EXPONENT = 0.5
 
 #: Modelled partition-cost factor of the ``O(n + fields)`` field-run
-#: strategy relative to the radix sort (BENCH_columnar measures 3-5x).
+#: strategy relative to the radix sort.  Hand-set: the end-to-end
+#: benchmark (``BENCHMARK.json``) times only the field-run path, as its
+#: ``stage.partition.ms`` layer.
 FIELD_RUN_PARTITION_FACTOR = 0.35
 
 #: Inputs below this run serial: a process pool's spawn/ship overhead
@@ -69,11 +70,6 @@ WORKERS_INPUT_THRESHOLD = 64 * MiB
 
 #: Worker-count ceiling the planner will recommend.
 MAX_PLAN_WORKERS = 4
-
-
-def _strategy_of(options: ParseOptions) -> str:
-    """The partition strategy a parse with ``options`` resolves to."""
-    return PartitionStage.resolve_strategy(options).value
 
 
 @dataclass(frozen=True)
@@ -150,7 +146,7 @@ class PlanDecision:
                 "chunk_size": self.chosen.chunk_size,
                 "kernel_stride": self.chosen.kernel_stride,
                 "partition_strategy":
-                    _strategy_of(self.chosen),
+                    self.chosen.resolved_partition_strategy().value,
                 "workers": self.workers,
             },
             "modelled_seconds": self.modelled_seconds,
@@ -405,7 +401,7 @@ class Planner:
             return fingerprint
 
         stride = options.resolved_stride()
-        strategy = _strategy_of(options)
+        strategy = options.resolved_partition_strategy().value
         stats = InputStats(
             input_bytes=result.input_bytes,
             sample_bytes=result.input_bytes, dialect=options.dialect,
@@ -496,7 +492,7 @@ class Planner:
         fp = fingerprint if fingerprint is not None \
             else stats.fingerprint()
         stride = base.resolved_stride()
-        strategy = _strategy_of(base)
+        strategy = base.resolved_partition_strategy().value
         costs = self._modelled(stats, max(1, int(input_bytes)),
                                base.chunk_size, stride, strategy)
         key = config_key(fp, base.chunk_size, stride, strategy)

@@ -20,8 +20,15 @@ Parse options travel as a JSON dict mirroring the CLI surface
 (:func:`options_to_wire` / :func:`options_from_wire`): dialect fields,
 chunk size, stride, tagging mode, partition strategy, column policy and
 an optional schema — either ``{"columns": N}`` (N string columns) or
-``{"fields": [[name, dtype], ...]}``.  Options backed by a custom DFA
-object cannot travel by wire; use the in-process client for those.
+``{"fields": [[name, dtype], ...]}``.  Options the dict cannot carry —
+a custom DFA object, or ``strict``, ``skip_rows``, ``skip_records``,
+``select_columns``, ``null_literals``, ``inline_terminator`` or a schema
+field's ``nullable``/``default``/``decimal_scale`` set away from its
+default — are refused by :func:`options_to_wire` rather than silently
+dropped; use the in-process client for those.  The remaining
+implementation knobs (tagging implementation, scalar conversion,
+collaboration thresholds, ``plan``) do not travel either: they change
+how a parse runs, never its output.
 
 Readers enforce limits before allocating: a header over
 ``MAX_HEADER_BYTES`` or a body over the reader's ``max_body`` raises
@@ -135,6 +142,39 @@ def read_frame(stream, max_body: int = DEFAULT_MAX_BODY_BYTES
 
 # -- options on the wire -----------------------------------------------------
 
+#: ``ParseOptions`` fields that shape a parse's output but have no wire
+#: encoding; :func:`options_to_wire` refuses options that set them.
+_LOCAL_ONLY_OPTIONS = ("strict", "skip_rows", "skip_records",
+                       "select_columns", "null_literals",
+                       "inline_terminator")
+
+#: ``Field`` attributes the ``[name, dtype]`` wire pairs cannot carry.
+_LOCAL_ONLY_FIELD_ATTRS = ("nullable", "default", "decimal_scale")
+
+_DEFAULT_OPTIONS = ParseOptions()
+_DEFAULT_FIELD = Field(name="_", dtype=DataType.STRING)
+
+
+def _refuse_local_only(options: ParseOptions) -> None:
+    """Raise :class:`ServeError` naming the first option the wire would
+    silently drop."""
+    if options.dfa is not None:
+        raise ServeError(
+            "options backed by a custom DFA cannot travel by wire; "
+            "use the in-process Client")
+    for name in _LOCAL_ONLY_OPTIONS:
+        if getattr(options, name) != getattr(_DEFAULT_OPTIONS, name):
+            raise ServeError(
+                f"option {name!r} cannot travel by wire; use the "
+                f"in-process Client")
+    for f in options.schema or ():
+        for attr in _LOCAL_ONLY_FIELD_ATTRS:
+            if getattr(f, attr) != getattr(_DEFAULT_FIELD, attr):
+                raise ServeError(
+                    f"schema field {f.name!r} sets {attr!r}, which cannot "
+                    f"travel by wire; use the in-process Client")
+
+
 def _schema_to_wire(schema: Schema | None):
     if schema is None:
         return None
@@ -151,11 +191,12 @@ def _schema_from_wire(spec) -> Schema | None:
 
 
 def options_to_wire(options: ParseOptions) -> dict:
-    """Encode ``options`` as the JSON dict the protocol carries."""
-    if options.dfa is not None:
-        raise ServeError(
-            "options backed by a custom DFA cannot travel by wire; "
-            "use the in-process Client")
+    """Encode ``options`` as the JSON dict the protocol carries.
+
+    Raises :class:`~repro.errors.ServeError` when ``options`` set
+    anything the dict cannot carry (see the module docstring).
+    """
+    _refuse_local_only(options)
     dialect = options.dialect
     return {
         "delimiter": dialect.delimiter.decode("latin-1"),
@@ -167,7 +208,6 @@ def options_to_wire(options: ParseOptions) -> dict:
         "chunk_size": options.chunk_size,
         "kernel_stride": options.kernel_stride,
         "kernel_table_budget": options.kernel_table_budget,
-        "minimize_dfa": options.minimize_dfa,
         "tagging_mode": options.tagging_mode.value,
         "partition_strategy": None if options.partition_strategy is None
         else options.partition_strategy.value,
@@ -200,7 +240,6 @@ def options_from_wire(spec: dict | None) -> ParseOptions | None:
             else int(spec["kernel_stride"]),
             kernel_table_budget=int(
                 spec.get("kernel_table_budget", DEFAULT_TABLE_BUDGET)),
-            minimize_dfa=bool(spec.get("minimize_dfa", True)),
             tagging_mode=TaggingMode(spec.get("tagging_mode", "tagged")),
             partition_strategy=None if strategy is None
             else PartitionStrategy(strategy),

@@ -1,8 +1,8 @@
 """The DFA proof tier: minimisation is behaviour-preserving for every
 shipped automaton.
 
-``ParseOptions.minimize_dfa`` substitutes the canonical minimised
-automaton into every sweep; these tests machine-check the obligations
+Every parse substitutes the canonical minimised automaton into every
+sweep; these tests machine-check the obligations
 that license the substitution (equivalence, idempotence, engine
 agreement, registry distinctness, and the strict-inclusion witness) via
 :mod:`repro.analysis.dfaproofs`.  ``scripts/check.sh`` smokes

@@ -1,11 +1,14 @@
-"""Round-trip tests for table serialisation."""
+"""Round-trip and malformed-stream tests for table serialisation.
 
-import numpy as np
+``repro.columnar.serialize`` has one framing, ``write_feather`` /
+``read_feather``; these tests pin its basic contract on small tables.
+"""
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.columnar.schema import DataType, Field, Schema
-from repro.columnar.serialize import deserialize_table, serialize_table
+from repro.columnar.serialize import read_feather, write_feather
 from repro.columnar.table import Column, Table
 from repro.errors import SchemaError
 
@@ -28,20 +31,21 @@ def sample_table() -> Table:
 class TestRoundTrip:
     def test_sample(self):
         table = sample_table()
-        rebuilt = deserialize_table(serialize_table(table))
+        rebuilt = read_feather(write_feather(table))
         assert rebuilt.schema == table.schema
         assert rebuilt.to_pylist() == table.to_pylist()
 
     def test_empty_table(self):
         schema = Schema([Field("x", DataType.INT32)])
         table = Table(schema, [Column.from_values(schema[0], [])])
-        rebuilt = deserialize_table(serialize_table(table))
+        rebuilt = read_feather(write_feather(table))
+        assert rebuilt.schema == table.schema
         assert rebuilt.num_rows == 0
 
     def test_parse_result_roundtrip(self):
         from repro import parse_bytes
         table = parse_bytes(b'a,1\n"x,y",2\n').table
-        rebuilt = deserialize_table(serialize_table(table))
+        rebuilt = read_feather(write_feather(table))
         assert rebuilt.to_pylist() == table.to_pylist()
 
     @given(st.lists(st.one_of(st.none(),
@@ -57,21 +61,21 @@ class TestRoundTrip:
             Column.from_values(schema[0], strings[:n]),
             Column.from_values(schema[1], ints[:n]),
         ])
-        rebuilt = deserialize_table(serialize_table(table))
+        rebuilt = read_feather(write_feather(table))
         assert rebuilt.to_pylist() == table.to_pylist()
 
 
 class TestErrors:
     def test_bad_magic(self):
-        with pytest.raises(SchemaError):
-            deserialize_table(b"NOPE!" + b"\x00" * 20)
+        with pytest.raises(SchemaError, match="bad magic"):
+            read_feather(b"NOPE!" + b"\x00" * 20)
 
     def test_truncated(self):
-        raw = serialize_table(sample_table())
+        raw = write_feather(sample_table())
         with pytest.raises(SchemaError):
-            deserialize_table(raw[:len(raw) // 2])
+            read_feather(raw[:len(raw) // 2])
 
     def test_trailing_garbage(self):
-        raw = serialize_table(sample_table())
-        with pytest.raises(SchemaError):
-            deserialize_table(raw + b"x")
+        raw = write_feather(sample_table())
+        with pytest.raises(SchemaError, match="trailing or missing"):
+            read_feather(raw + b"x")

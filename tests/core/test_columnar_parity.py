@@ -1,13 +1,14 @@
-"""Fused-convert parity: zero-copy output is bit-identical to the copy path.
+"""Convert parity: zero-copy and copying assembly both match the reference.
 
-The fused partition→convert path (ISSUE 6) must produce exactly the same
-``Table`` contents as the copying reference path (``fused_convert=False``)
-for every dialect, tagging mode, input and executor schedule.  String
-columns on the fused path must additionally be zero-copy slices of the
-partition's CSS buffer.
+Convert emits zero-copy buffers — string columns slice the partition's
+CSS, fully-populated fixed-width columns adopt the parsed value vector —
+whenever the fields allow it, and copies otherwise: a matching NULL
+literal punches holes into the CSS tiling, and a non-empty string
+default has bytes the CSS does not hold.  Either assembly must produce
+exactly the sequential reference parser's table for every dialect,
+tagging mode, input and executor schedule.  String columns on the
+zero-copy path must additionally share the partition's CSS buffer.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from repro import (
     SerialExecutor,
     ShardedExecutor,
 )
-from repro.columnar import DataType
+from repro.baselines import SequentialParser
+from repro.columnar import DataType, Field, Schema
 from repro.core.options import TaggingMode
 from repro.core.stages import ConvertStage, PipelineContext, RawInput
 from repro.dfa import dialect_dfa
+from repro.errors import ParseError
 from repro.utils.timing import StepTimer
 from tests.conftest import TRICKY_INPUTS, as_uint8
 from tests.kernels.test_parity import DIALECTS
@@ -30,14 +33,36 @@ from tests.kernels.test_parity import DIALECTS
 MODES = [TaggingMode.TAGGED, TaggingMode.INLINE, TaggingMode.DELIMITED]
 
 
+def string_defaults(width: int, default: str = "n/a") -> Schema:
+    return Schema([Field(f"col{i}", DataType.STRING, default=default)
+                   for i in range(width)])
+
+
+#: Option sets per assembly path: the defaults (zero-copy wherever the
+#: fields tile the CSS), NULL literals that match tricky-input fields,
+#: and a non-empty string default (both force the copying assembly).
+PATHS = [{}, {"null_literals": ("a", "1")},
+         {"schema": string_defaults(3)}]
+
+
 def parse_table(data: bytes, options: ParseOptions, executor=None):
     parser = ParPaRawParser(options, executor=executor)
     return parser.parse(data).table
 
 
-def fused_and_legacy(options: ParseOptions):
-    return (dataclasses.replace(options, fused_convert=True),
-            dataclasses.replace(options, fused_convert=False))
+def assert_matches_reference(data: bytes, options: ParseOptions,
+                             executor=None) -> None:
+    try:
+        got = parse_table(data, options, executor)
+    except ParseError as exc:
+        # Inline/delimited modes refuse varying column counts (§4.1);
+        # the sequential reference has no tagging modes to refuse with.
+        assert options.tagging_mode is not TaggingMode.TAGGED, data
+        assert "constant number of columns" in str(exc), data
+        return
+    expected = SequentialParser(options).parse(data)
+    assert got.to_pylist() == expected.to_pylist(), data
+    assert got == expected, data
 
 
 class TestFusedParity:
@@ -46,48 +71,30 @@ class TestFusedParity:
         ids=[f"dialect{i}" for i in range(len(DIALECTS))])
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
     def test_dialects_and_modes(self, dialect, mode):
-        for data in TRICKY_INPUTS:
-            options = ParseOptions(dialect=dialect, tagging_mode=mode)
-            fused, legacy = fused_and_legacy(options)
-            try:
-                expected = parse_table(data, legacy)
-            except Exception as exc:
-                with pytest.raises(type(exc)):
-                    parse_table(data, fused)
-                continue
-            got = parse_table(data, fused)
-            assert got.to_pylist() == expected.to_pylist(), data
-            assert got == expected, data
+        for extra in PATHS:
+            options = ParseOptions(dialect=dialect, tagging_mode=mode,
+                                   **extra)
+            for data in TRICKY_INPUTS:
+                assert_matches_reference(data, options)
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
     def test_sharded_matches_serial_legacy(self, mode):
-        executor = ShardedExecutor(workers=2, shard_bytes=64,
-                                   use_processes=False)
-        options = ParseOptions(dialect=Dialect.csv(), tagging_mode=mode)
-        fused, legacy = fused_and_legacy(options)
-        for data in TRICKY_INPUTS:
-            try:
-                expected = parse_table(data, legacy, SerialExecutor())
-            except Exception as exc:
-                with pytest.raises(type(exc)):
-                    parse_table(data, fused, ShardedExecutor(
-                        workers=2, shard_bytes=64, use_processes=False))
-                continue
-            got = parse_table(data, fused, ShardedExecutor(
-                workers=2, shard_bytes=64, use_processes=False))
-            assert got.to_pylist() == expected.to_pylist(), data
+        for extra in PATHS:
+            options = ParseOptions(dialect=Dialect.csv(), tagging_mode=mode,
+                                   **extra)
+            for data in TRICKY_INPUTS:
+                assert_matches_reference(data, options, ShardedExecutor(
+                    workers=2, shard_bytes=64, use_processes=False))
 
     def test_null_literals_and_defaults_parity(self):
         data = (b"alpha,1,x\n"
                 b"NA,2,y\n"
                 b"gamma,NA,\n"
                 b",4,NA\n")
-        options = ParseOptions(dialect=Dialect.csv(),
-                               null_literals=("NA",))
-        fused, legacy = fused_and_legacy(options)
-        expected = parse_table(data, legacy)
-        got = parse_table(data, fused)
-        assert got.to_pylist() == expected.to_pylist()
+        for extra in ({}, {"schema": string_defaults(3, "?")}):
+            options = ParseOptions(dialect=Dialect.csv(),
+                                   null_literals=("NA",), **extra)
+            assert_matches_reference(data, options)
 
 
 class TestZeroCopyStrings:
@@ -120,13 +127,16 @@ class TestZeroCopyStrings:
         assert converted.convert_stats.bytes_copied == 0
 
     def test_copy_path_does_not_share_css_memory(self):
-        data = b"alpha,bravo\ncharlie,delta\n"
-        options = ParseOptions(dialect=Dialect.csv(), fused_convert=False)
-        payload, converted = self._converted(data, options)
-        for column in converted.table.columns:
-            assert not np.shares_memory(column.data, payload.css)
-        assert converted.convert_stats.zero_copy_columns == 0
-        assert converted.convert_stats.bytes_copied > 0
+        data = b"alpha,bravo\ncharlie,delta\necho,foxtrot\n"
+        # A non-empty default, or NULL literals leaving a hole mid-column.
+        for extra in ({"schema": string_defaults(2)},
+                      {"null_literals": ("charlie", "delta")}):
+            options = ParseOptions(dialect=Dialect.csv(), **extra)
+            payload, converted = self._converted(data, options)
+            for column in converted.table.columns:
+                assert not np.shares_memory(column.data, payload.css)
+            assert converted.convert_stats.zero_copy_columns == 0
+            assert converted.convert_stats.bytes_copied > 0
 
     def test_fused_and_copy_stats_cover_all_columns(self):
         data = b"alpha,1\nbravo,2\ncharlie,3\n"

@@ -21,8 +21,8 @@ from repro import (
     ShardedExecutor,
 )
 from repro.core.options import TaggingImpl, TaggingMode
-from repro.core.stages import PartitionStage, PipelineContext, \
-    RawInput, default_pipeline
+from repro.core.stages import PipelineContext, RawInput, \
+    default_pipeline
 from repro.dfa import dialect_dfa
 from repro.errors import ParseError
 from repro.utils.timing import StepTimer
@@ -144,17 +144,17 @@ class TestStrategyParity:
 
 class TestStrategyResolution:
     def test_auto_field_run_for_global_tagging(self):
-        strategy = PartitionStage.resolve_strategy(ParseOptions())
+        strategy = ParseOptions().resolved_partition_strategy()
         assert strategy is PartitionStrategy.FIELD_RUN
 
     def test_auto_radix_for_chunked_tagging(self):
         options = ParseOptions(tagging_impl=TaggingImpl.CHUNKED)
-        assert PartitionStage.resolve_strategy(options) \
+        assert options.resolved_partition_strategy() \
             is PartitionStrategy.RADIX
 
     def test_explicit_choice_wins(self):
         options = ParseOptions(partition_strategy=PartitionStrategy.RADIX)
-        assert PartitionStage.resolve_strategy(options) \
+        assert options.resolved_partition_strategy() \
             is PartitionStrategy.RADIX
 
     def test_options_coerce_strings(self):

@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 from repro.__main__ import main
-from repro.columnar.serialize import deserialize_table
+from repro.columnar.serialize import read_feather
 
 
 @pytest.fixture()
@@ -42,9 +42,11 @@ class TestParseCommand:
         assert "x\t1" in out
 
     def test_serialised_output(self, csv_file, tmp_path, capsys):
-        out_path = tmp_path / "out.rprw"
+        # --output always writes the Feather-style framing, whatever the
+        # file extension.
+        out_path = tmp_path / "out.bin"
         main(["parse", csv_file, "--output", str(out_path)])
-        table = deserialize_table(out_path.read_bytes())
+        table = read_feather(out_path)
         assert table.num_rows == 3
         assert table.row(1) == ("2", "3.25", "c\nd")
 

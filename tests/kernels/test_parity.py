@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Dialect, ParPaRawParser, ParseOptions
+from repro.baselines.sequential import SequentialParser, sequential_rows
 from repro.core.chunking import chunk_groups
 from repro.core.context import chunk_start_states, compute_transition_vectors
 from repro.core.tagging import compute_emissions
@@ -277,26 +278,27 @@ def test_parser_output_identical_across_strides(k):
 @pytest.mark.parametrize("dialect", DIALECTS,
                          ids=lambda d: f"{d.delimiter!r}-{d.quote!r}")
 def test_minimised_matches_unminimised(dialect):
-    """Tentpole acceptance: parsing over the canonical minimised
-    automaton is bit-identical to parsing over the raw dialect DFA.
+    """Parsing, which always sweeps the canonical minimised automaton,
+    is bit-identical to the sequential reference over the raw dialect
+    DFA, and reports the raw unit sweep's ``invalid_position``.
     ``final_state`` is compared up to state class — the minimised path
     reports the class representative, which is behaviourally (name
     string aside) the same parsing context."""
     dfa = dialect_dfa(dialect)
     state_map = canonicalize(dfa).state_map
+    options = ParseOptions(dialect=dialect, chunk_size=8)
     for data in TRICKY_INPUTS:
-        raw_opts = ParseOptions(dialect=dialect, chunk_size=8,
-                                minimize_dfa=False)
-        min_opts = raw_opts.with_(minimize_dfa=True)
-        a = ParPaRawParser(raw_opts).parse(data)
-        b = ParPaRawParser(min_opts).parse(data)
-        assert a.table.to_pylist() == b.table.to_pylist()
-        assert a.num_records == b.num_records
-        assert a.validation.invalid_position \
-            == b.validation.invalid_position
-        assert a.validation.end_accepted == b.validation.end_accepted
-        assert state_map[a.validation.final_state] \
-            == state_map[b.validation.final_state]
+        result = ParPaRawParser(options).parse(data)
+        reference = SequentialParser(options).parse(data)
+        assert result.table.to_pylist() == reference.to_pylist()
+        _, final_state, _ = sequential_rows(data, dfa)
+        assert result.validation.end_accepted \
+            == dfa.is_accepting(final_state)
+        assert state_map[result.validation.final_state] \
+            == state_map[final_state]
+        raw = np.frombuffer(data, dtype=np.uint8)
+        (_, (_, _, invalid_position)), _ = plan_sweeps(raw, dfa, 8, 1)
+        assert result.validation.invalid_position == invalid_position
 
 
 @pytest.mark.parametrize("k", STRIDES)

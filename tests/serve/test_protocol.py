@@ -137,6 +137,43 @@ class TestOptionsCodec:
         with pytest.raises(ServeError, match="in-process"):
             options_to_wire(options)
 
+    @pytest.mark.parametrize("name,value", [
+        ("strict", True),
+        ("skip_rows", frozenset({0})),
+        ("skip_records", frozenset({0})),
+        ("select_columns", (0,)),
+        ("null_literals", ("NA",)),
+        ("inline_terminator", 0x1F),
+    ])
+    def test_output_shaping_option_cannot_travel(self, name, value):
+        """Refused rather than silently dropped: the server would parse
+        with the default instead."""
+        options = ParseOptions(**{name: value})
+        with pytest.raises(ServeError, match=repr(name)):
+            options_to_wire(options)
+
+    @pytest.mark.parametrize("attr,value", [
+        ("nullable", False),
+        ("default", "-"),
+        ("decimal_scale", 4),
+    ])
+    def test_schema_field_attribute_cannot_travel(self, attr, value):
+        field = Field(name="price", dtype=DataType.DECIMAL,
+                      **{attr: value})
+        options = ParseOptions(schema=Schema([field]))
+        with pytest.raises(ServeError, match=f"'price'.*{attr!r}"):
+            options_to_wire(options)
+
+    def test_legacy_minimize_dfa_key_is_ignored(self):
+        """A spec from a peer that still sends ``minimize_dfa`` decodes;
+        minimisation is no longer optional, so the key has no effect."""
+        spec = options_to_wire(ParseOptions(chunk_size=17))
+        assert "minimize_dfa" not in spec
+        for legacy in (True, False):
+            decoded = options_from_wire({**spec, "minimize_dfa": legacy})
+            assert decoded == options_from_wire(spec)
+            assert decoded.chunk_size == 17
+
     def test_malformed_options_raise_protocol_error(self):
         with pytest.raises(ProtocolError, match="malformed options"):
             options_from_wire({"tagging_mode": "no-such-mode"})
