@@ -2,7 +2,7 @@
 
 * GLOBAL vs CHUNKED tagging implementation (vectorised cumulative sums vs
   the paper's per-chunk offsets + scans);
-* vectorised vs scalar type conversion;
+* vectorised type conversion over per-field byte matrices;
 * radix-sort digit width;
 * scan algorithm choice (sequential / Hillis-Steele / Blelloch /
   decoupled look-back / vectorised).
@@ -31,14 +31,11 @@ def test_tagging_impl(benchmark, yelp_1mb, yelp_schema, impl):
     assert result.num_rows > 0
 
 
-@pytest.mark.parametrize("vectorized", [True, False],
-                         ids=["vectorised", "scalar"])
-def test_conversion_path(benchmark, taxi_1mb, taxi_schema, vectorized):
-    # Scalar conversion is slow; keep the input small, cut at a record
-    # boundary so no truncated field skews the reject counter.
+def test_conversion_path(benchmark, taxi_1mb, taxi_schema):
+    # Cut at a record boundary so no truncated field skews the reject
+    # counter.
     data = taxi_1mb[:taxi_1mb.rfind(b"\n", 0, 128 * 1024) + 1]
-    parser = ParPaRawParser(ParseOptions(
-        schema=taxi_schema, vectorized_conversion=vectorized))
+    parser = ParPaRawParser(ParseOptions(schema=taxi_schema))
     result = run_benchmark(benchmark, parser.parse, data)
     assert result.total_rejected_fields == 0
 

@@ -57,6 +57,15 @@ python -m pytest tests/core/test_partition.py \
 # must alias the CSS, and the buffer layer/Feather round-trips hold.
 python -m pytest tests/core/test_columnar_parity.py \
     tests/columnar -q
+# Conversion tier: every vector parser must agree with the scalar
+# reference converters or fall back to them — per field (including at
+# each body-width class edge), per column through convert, and whole
+# tables against the sequential parser — and a long outlier must not
+# widen a column's byte matrices.
+python -m pytest tests/core/test_vector_convert.py \
+    tests/core/test_conversion_parity.py \
+    tests/core/test_conversion_depth.py \
+    tests/core/test_scalar_convert.py -q
 
 # Observability smoke: a sharded CLI parse must emit a Chrome trace that
 # the repo's own validator accepts, with worker spans and merged metrics.

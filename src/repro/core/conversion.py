@@ -8,9 +8,10 @@ output: a typed data buffer + validity bitmap per column.  The pipeline:
 2. pre-initialise the column with its default value (paper §4.3 — *Default
    values for empty strings*): fields without symbols simply never
    overwrite it, and become NULL when there is no default;
-3. convert the non-empty fields — vectorised by default
-   (:mod:`repro.core.vector_convert`), with scalar fallback for literals
-   the vector path declines, or fully scalar when configured;
+3. convert the non-empty fields with the vector parsers
+   (:mod:`repro.core.vector_convert`), re-parsing the few literals they
+   decline with the scalar reference converters
+   (:mod:`repro.core.scalar_convert`);
 4. scatter values into rows; conversion failures clear the row's validity
    and count as *rejects* (the per-thread reject flags of Figure 5).
 
@@ -112,13 +113,8 @@ def _effective_default(field: Field):
     return None
 
 
-_VECTOR_PARSERS = {
-    DataType.INT8: parse_int_vector,
-    DataType.INT16: parse_int_vector,
-    DataType.INT32: parse_int_vector,
-    DataType.INT64: parse_int_vector,
-    DataType.FLOAT32: parse_float_vector,
-    DataType.FLOAT64: parse_float_vector,
+#: The parsers that need neither the output dtype nor a scale.
+_PLAIN_PARSERS = {
     DataType.BOOL: parse_bool_vector,
     DataType.DATE: parse_date_vector,
     DataType.TIMESTAMP: parse_timestamp_vector,
@@ -134,11 +130,11 @@ def _vector_parse(field: Field, buf: np.ndarray, offsets: np.ndarray,
     if dtype is DataType.DECIMAL:
         return parse_decimal_vector(buf, offsets, lengths,
                                     field.decimal_scale)
-    parser = _VECTOR_PARSERS[dtype]
-    if dtype in (DataType.INT8, DataType.INT16, DataType.INT32,
-                 DataType.INT64, DataType.FLOAT32, DataType.FLOAT64):
-        return parser(buf, offsets, lengths, dtype)
-    return parser(buf, offsets, lengths)
+    if dtype in (DataType.FLOAT32, DataType.FLOAT64):
+        return parse_float_vector(buf, offsets, lengths, dtype)
+    if dtype.is_numeric:
+        return parse_int_vector(buf, offsets, lengths, dtype)
+    return _PLAIN_PARSERS[dtype](buf, offsets, lengths)
 
 
 def _scalar_parse_into(field: Field, buf: np.ndarray, offsets: np.ndarray,
@@ -181,7 +177,7 @@ def convert_column(field: Field, css: np.ndarray, index: ColumnIndex,
     num_rows:
         Output row count.
     options:
-        Parse options (vectorised vs scalar conversion, thresholds,
+        Parse options (NULL literals, collaboration thresholds,
         strictness).
     convert_stats:
         Optional accumulator for byte-copy accounting (the convert
@@ -261,20 +257,12 @@ def convert_column(field: Field, css: np.ndarray, index: ColumnIndex,
     else:
         buf, packed_offsets = pack_fields(css, starts, lengths)
     if n_fields:
-        if options.vectorized_conversion:
-            values, ok, fallback = _vector_parse(field, buf,
-                                                 packed_offsets, lengths)
-            values = values.astype(field.dtype.numpy_dtype, copy=False)
-            if np.any(fallback):
-                values = values.copy()
-                ok = ok.copy()
-                _scalar_parse_into(field, buf, packed_offsets, lengths,
-                                   fallback, values, ok)
-        else:
-            values = np.zeros(n_fields, dtype=field.dtype.numpy_dtype)
-            ok = np.zeros(n_fields, dtype=bool)
+        values, ok, fallback = _vector_parse(field, buf, packed_offsets,
+                                             lengths)
+        values = values.astype(field.dtype.numpy_dtype, copy=False)
+        if np.any(fallback):
             _scalar_parse_into(field, buf, packed_offsets, lengths,
-                               np.ones(n_fields, dtype=bool), values, ok)
+                               fallback, values, ok)
         rejects = int(np.count_nonzero(~ok))
         if rejects and options.strict:
             first = int(np.flatnonzero(~ok)[0])

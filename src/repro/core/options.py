@@ -2,9 +2,9 @@
 
 :class:`ParseOptions` gathers everything that shapes a parse: the dialect
 (or an explicit DFA), the output schema, the chunk size, the tagging mode
-(paper §4.1), capability switches (§4.3), and implementation toggles used
-by the ablation benchmarks (chunked vs global tagging, vectorised vs scalar
-conversion).
+(paper §4.1), capability switches (§4.3), and the implementation toggles
+the ablation benchmarks compare (chunked vs global tagging, radix vs
+field-run partitioning).
 """
 
 from __future__ import annotations
@@ -103,7 +103,9 @@ class ParseOptions:
     :mod:`repro.analysis.dfaproofs` proves equal to the dialect DFA's;
     minimisation shrinks the ``G**k`` stride tables and lets equivalent
     dialects share kernel-cache entries.  Convert emits zero-copy
-    buffers whenever the fields allow it and copies otherwise (see
+    buffers whenever the fields allow it and copies otherwise, and
+    always runs the vector parsers, falling back to the scalar
+    reference converters only for the literals they decline (see
     :func:`repro.core.conversion.convert_column`).
 
     Parameters
@@ -157,9 +159,6 @@ class ParseOptions:
         Column indexes to materialise; ``None`` keeps all.
     infer_types:
         Infer numeric column types when no schema is given (§4.3).
-    vectorized_conversion:
-        Use the NumPy field converters (production) or the scalar
-        reference converters (ablation/verification).
     null_literals:
         Field texts treated as NULL (e.g. ``("NA", "null")``) — matched
         exactly, before type conversion; such fields clear the row's
@@ -196,7 +195,6 @@ class ParseOptions:
     skip_records: frozenset[int] = frozenset()
     select_columns: tuple[int, ...] | None = None
     infer_types: bool = False
-    vectorized_conversion: bool = True
     null_literals: tuple[str, ...] = ()
     block_threshold: int = 256
     device_threshold: int = 48 * 1024

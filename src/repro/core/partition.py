@@ -217,7 +217,7 @@ class PartitionResult:
         return self._order
 
     @property
-    def has_field_geometry(self) -> bool:
+    def has_field_runs(self) -> bool:
         """Whether per-field run geometry survived the partition."""
         return self.field_bounds is not None
 
@@ -240,7 +240,7 @@ class PartitionResult:
         """Column ``c``'s ``(records, offsets, lengths)`` field geometry.
 
         Offsets are relative to :meth:`column_css`.  Requires
-        :attr:`has_field_geometry` (the field-run path); callers without
+        :attr:`has_field_runs` (the field-run path); callers without
         it re-derive the index from the record tags.
         """
         if self.field_bounds is None:
@@ -263,7 +263,7 @@ class PartitionResult:
         ``(num_fields + 1,)`` int64 field-boundary buffer.  In the
         record-tagged mode the fields tile the column CSS exactly, so the
         pair *is* a valid Arrow string column over the retained fields —
-        no symbol is copied.  Requires :attr:`has_field_geometry`.
+        no symbol is copied.  Requires :attr:`has_field_runs`.
         """
         values = self.column_css(column)
         _, starts, lengths = self.column_fields(column)

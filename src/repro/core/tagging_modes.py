@@ -85,7 +85,7 @@ def column_indexes(mode: TaggingMode, part: PartitionResult,
     per-symbol RLE of :func:`tagged_index`, without touching the CSS
     symbols again.
     """
-    if mode is TaggingMode.TAGGED and part.has_field_geometry:
+    if mode is TaggingMode.TAGGED and part.has_field_runs:
         indexes = []
         for column in range(part.num_columns):
             records, offsets, lengths = part.column_fields(column)

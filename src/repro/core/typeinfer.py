@@ -79,14 +79,14 @@ def infer_column_type(css: np.ndarray, index: ColumnIndex) -> DataType:
     # Temporal shapes are unambiguous (fixed width with separators), so
     # classify them first; then numerics; bools win only over pure
     # integer-looking 0/1 — match the narrowest.
-    ts_values, ts_ok, _ = parse_timestamp_vector(buf, offsets, lengths)
+    _, ts_ok, _ = parse_timestamp_vector(buf, offsets, lengths)
     ranks[ts_ok] = _RANK[DataType.TIMESTAMP]
-    date_values, date_ok, _ = parse_date_vector(buf, offsets, lengths)
+    _, date_ok, _ = parse_date_vector(buf, offsets, lengths)
     ranks[date_ok] = _RANK[DataType.DATE]
 
-    float_values, float_ok, float_fb = parse_float_vector(
-        buf, offsets, lengths, DataType.FLOAT64)
-    # Fallback-flagged fields (exponents, nan, >18 digits) still count
+    _, float_ok, float_fb = parse_float_vector(buf, offsets, lengths,
+                                               DataType.FLOAT64)
+    # Fallback-flagged fields (exponents, nan, long bodies) still count
     # as floats for inference purposes when they are float-shaped; resolve
     # the few of them scalar-ly (which also rejects inf/infinity, keeping
     # inference aligned with the strict conversion grammar).
@@ -95,9 +95,7 @@ def infer_column_type(css: np.ndarray, index: ColumnIndex) -> DataType:
         for i in np.flatnonzero(float_fb):
             lo = int(offsets[i])
             text = buf[lo:lo + int(lengths[i])].tobytes()
-            _, ok = parse_float_scalar(text)
-            float_ok = float_ok.copy()
-            float_ok[i] = ok
+            _, float_ok[i] = parse_float_scalar(text)
     ranks[float_ok] = np.minimum(ranks[float_ok], _RANK[DataType.FLOAT64])
 
     int_values, int_ok, _ = parse_int_vector(buf, offsets, lengths,
@@ -106,7 +104,7 @@ def infer_column_type(css: np.ndarray, index: ColumnIndex) -> DataType:
         int_ranks = _minimum_int_rank(int_values[int_ok])
         ranks[int_ok] = np.minimum(ranks[int_ok], int_ranks)
 
-    bool_values, bool_ok, _ = parse_bool_vector(buf, offsets, lengths)
+    _, bool_ok, _ = parse_bool_vector(buf, offsets, lengths)
     ranks[bool_ok] = np.minimum(ranks[bool_ok], _RANK[DataType.BOOL])
 
     top = WIDENING_ORDER[int(ranks.max())]

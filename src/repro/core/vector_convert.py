@@ -5,22 +5,30 @@ NumPy translation of the paper's thread-per-field conversion kernels
 (§3.3).  Each parser consumes a *packed* field set: a contiguous uint8
 buffer holding the fields back to back, with ``lengths`` per field (all
 strictly positive — empty fields are resolved to defaults/NULL before
-conversion).  Each returns ``(values, ok, fallback)`` where ``fallback``
-flags fields the vectorised path declines (e.g. >18-digit mantissas,
-exponent floats); the orchestrator re-parses those with the scalar
-reference converters, so the combined result is exactly the scalar
-semantics (property tested).
+conversion).  Each returns fresh ``(values, ok, fallback)`` arrays the
+caller owns; ``fallback`` flags fields the vectorised path declines
+(e.g. bodies over 18 bytes, exponent floats), and the orchestrator
+re-parses those with the scalar reference converters, so the combined
+result is exactly the scalar semantics (property tested).  Values are
+zero wherever ``ok`` is unset.
 
-The numeric parsers share one skeleton: classify every byte, locate each
-byte's field via ``np.repeat``, combine per-digit contributions with
-``np.add.reduceat`` over the field boundaries, and validate with reduceat
-of boolean masks.  This is a faithful stand-in for the GPU's
-block-per-field reductions.
+Booleans are matched as literals (:func:`match_literals`, as NULLs
+are).  Every other parser shares one skeleton: :func:`_field_matrix`
+gathers each field's bytes into a right-aligned ``(n, width)`` matrix, one row per
+field — the bytes a GPU thread holds when it converts a short field.
+Dates and timestamps read rows of exactly 10 or 19 bytes.  The numeric
+parsers read the field *body* (sign stripped) through
+:func:`_parse_numbers`, which sizes its matrices by body-width class
+(≤4, ≤8, ≤18 bytes) so a single long outlier does not widen the whole
+column, finds the dot per row with ``argmax`` and forms the mantissa by
+Horner's rule over the columns (:func:`_horner`).
 """
 
 from __future__ import annotations
 
 # parlint: hot-path -- byte-bound pipeline phase; loops need waivers
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +59,12 @@ _PLUS = np.uint8(ord("+"))
 _DOT = np.uint8(ord("."))
 _ZERO = np.uint8(ord("0"))
 
+#: Upper body width of each numeric matrix; longer bodies fall back.
+_WIDTH_CLASSES = (4, 8, 18)
+
+_TRUE_LITERALS = (b"1", b"t", b"T", b"true", b"True", b"TRUE")
+_FALSE_LITERALS = (b"0", b"f", b"F", b"false", b"False", b"FALSE")
+
 
 def pack_fields(src: np.ndarray, starts: np.ndarray,
                 lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,13 +91,13 @@ def match_literals(buf: np.ndarray, offsets: np.ndarray,
                    literals: tuple[bytes, ...]) -> np.ndarray:
     """Which packed fields equal one of ``literals`` exactly.
 
-    Vectorised per literal (length check + per-byte compare), the same
-    lock-step pattern as boolean parsing; used for NULL-literal detection
-    (paper §3.3 mentions "identifying NULLs" during conversion).
+    Vectorised per literal (length check + per-byte compare); used for
+    boolean parsing and NULL-literal detection (paper §3.3 mentions
+    "identifying NULLs" during conversion).
     """
     n = len(lengths)
     matched = np.zeros(n, dtype=bool)
-    for literal in literals:  # parlint: disable=PPR401 -- one pass per NULL literal, a small config constant
+    for literal in literals:  # parlint: disable=PPR401 -- one pass per literal, a small config constant
         candidates = lengths == len(literal)
         if not np.any(candidates) or not literal:
             continue
@@ -95,117 +109,123 @@ def match_literals(buf: np.ndarray, offsets: np.ndarray,
     return matched
 
 
-def _field_geometry(offsets: np.ndarray, lengths: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(field id, local position) for every byte of a packed buffer."""
-    total = int(lengths.sum())
-    field_ids = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    local = (np.arange(total, dtype=np.int64)
-             - np.repeat(offsets, lengths))
-    return field_ids, local
+def _field_matrix(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray,
+                  width: int) -> np.ndarray:
+    """Right-aligned ``(n, width)`` bytes of each field.
+
+    Row ``i`` holds the ``widths[i]`` bytes ending at ``ends[i]``,
+    padded on the left with ``'0'``; a field wider than ``width`` keeps
+    only its last ``width`` bytes.  The matrix is stored column-major:
+    one byte position across all fields is contiguous, which is what the
+    per-column reductions read.
+    """
+    matrix = np.empty((width, len(ends)), dtype=np.uint8)
+    shortest = int(widths.min(initial=width))
+    for back, column in zip(range(width, 0, -1), matrix):  # parlint: disable=PPR401 -- one gather per byte position, width <= 19
+        np.take(buf, np.maximum(ends - back, 0), out=column)
+        if back > shortest:
+            column[widths < back] = _ZERO
+    return matrix.T
 
 
-def _count_per_field(mask: np.ndarray, offsets: np.ndarray,
-                     num_fields: int) -> np.ndarray:
-    """Per-field count of set mask positions (reduceat over boundaries)."""
-    if num_fields == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.add.reduceat(mask.astype(np.int64), offsets)
+def _horner(digits: np.ndarray) -> np.ndarray:
+    """Each row of a digit matrix read as one base-10 integer (int64)."""
+    value = np.zeros(digits.shape[0], dtype=np.int64)
+    for column in digits.T:  # parlint: disable=PPR401 -- one multiply-add per matrix column, width <= 19
+        value *= 10
+        value += column
+    return value
+
+
+class _Numbers(NamedTuple):
+    """Per-field shape of ``[+-]body`` numeric literals.
+
+    Only ``sign`` and ``fallback`` are meaningful where ``fallback`` is
+    set (bodies over 18 bytes).
+    """
+
+    sign: np.ndarray         #: -1 or +1
+    mantissa: np.ndarray     #: the body's digits as one integer
+    frac_len: np.ndarray     #: bytes after the first dot
+    dot_count: np.ndarray
+    digit_count: np.ndarray
+    ok: np.ndarray           #: digits with at most one dot, >= 1 digit
+    alpha: np.ndarray        #: the body holds an ASCII letter
+    fallback: np.ndarray     #: left to the scalar path
+
+
+def _matrix_numbers(matrix: np.ndarray, widths: np.ndarray) -> tuple:
+    """:class:`_Numbers` fields (minus sign/fallback) of body rows."""
+    width = matrix.shape[1]
+    digits = matrix - _ZERO  # uint8 wraps bytes below '0' past 9
+    is_digit = digits <= 9
+    is_dot = matrix == _DOT
+    dot_count = is_dot.sum(axis=1)
+    # The left padding is '0's, not body digits.
+    digit_count = is_digit.sum(axis=1) - (width - widths)
+    ok = np.all(is_digit | is_dot, axis=1) & (dot_count <= 1) \
+        & (digit_count >= 1)
+    alpha = np.any((matrix | np.uint8(0x20)) - np.uint8(ord("a")) <= 25,
+                   axis=1)
+    has_dot = dot_count > 0
+    frac_len = np.where(has_dot, width - 1 - np.argmax(is_dot, axis=1), 0)
+    digits[~is_digit] = 0
+    mantissa = _horner(digits)
+    if np.any(has_dot):
+        # Drop the dot column: the digits left of it read one power of
+        # ten too high.
+        low = _POW10[frac_len]
+        mantissa = mantissa // _POW10[frac_len + has_dot] * low \
+            + mantissa % low
+    return mantissa, frac_len, dot_count, digit_count, ok, alpha
+
+
+def _parse_numbers(buf: np.ndarray, offsets: np.ndarray,
+                   lengths: np.ndarray) -> _Numbers:
+    """The numeric core shared by the int, float and decimal parsers.
+
+    Bodies fall into width classes (:data:`_WIDTH_CLASSES`).  The class
+    holding the most fields sets the width of one matrix over every
+    field: narrower bodies are padded, wider ones truncated.  Each wider
+    class then gets its own matrix, as wide as its longest body, and
+    overwrites its fields.  So the matrices stay proportional to the
+    column's bytes however skewed its lengths, and the common
+    single-class column scatters nothing.
+    """
+    first = buf[offsets]
+    negative = first == _MINUS
+    body = lengths - (negative | (first == _PLUS))
+    ends = offsets + lengths
+    sizes = np.bincount(np.searchsorted(_WIDTH_CLASSES, body),
+                        minlength=len(_WIDTH_CLASSES) + 1)
+    base = int(np.argmax(sizes[:len(_WIDTH_CLASSES)]))
+    low = _WIDTH_CLASSES[base]
+    width = int(body.max(initial=1, where=body <= low))
+    shape = _matrix_numbers(_field_matrix(buf, ends, body, width), body)
+    for high in _WIDTH_CLASSES[base + 1:]:  # parlint: disable=PPR401 -- at most two wider width classes
+        rows = np.flatnonzero((body > low) & (body <= high))
+        low = high
+        if rows.size:
+            widths = body[rows]
+            matrix = _field_matrix(buf, ends[rows], widths,
+                                   int(widths.max()))
+            for out, part in zip(shape, _matrix_numbers(matrix, widths)):  # parlint: disable=PPR401 -- six result arrays
+                out[rows] = part
+    sign = np.where(negative, np.int64(-1), np.int64(1))
+    return _Numbers(sign, *shape, fallback=body > _WIDTH_CLASSES[-1])
 
 
 def parse_int_vector(buf: np.ndarray, offsets: np.ndarray,
                      lengths: np.ndarray,
                      dtype: DataType = DataType.INT64
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised signed decimal integer parsing.
-
-    Fields with more than 18 digits are flagged for scalar fallback
-    (they may exceed the int64 weight table without overflow checks).
-    """
-    n = len(lengths)
-    values = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        empty = np.zeros(0, dtype=bool)
-        return values, empty, empty
-
-    first = buf[offsets]
-    negative = first == _MINUS
-    signed = negative | (first == _PLUS)
-    digit_len = lengths - signed
-    fallback = digit_len > 18
-    ok = digit_len >= 1
-
-    field_ids, local = _field_geometry(offsets, lengths)
-    digits = buf.astype(np.int64) - int(_ZERO)
-    is_digit = (digits >= 0) & (digits <= 9)
-    in_digits = local >= signed[field_ids]
-    bad = in_digits & ~is_digit
-    ok &= _count_per_field(bad, offsets, n) == 0
-
-    ends = offsets + lengths
-    exponent = ends[field_ids] - 1 - (offsets[field_ids] + local)
-    weight = _POW10[np.clip(exponent, 0, 18)]
-    contrib = np.where(in_digits & is_digit & (exponent <= 18),
-                       digits * weight, np.int64(0))
-    sums = np.add.reduceat(contrib, offsets)
-    values = np.where(negative, -sums, sums)
-
+    """Vectorised signed decimal integer parsing with range checking."""
+    num = _parse_numbers(buf, offsets, lengths)
+    values = num.sign * num.mantissa
     lo, hi = _INT_BOUNDS[dtype]
-    ok &= (values >= lo) & (values <= hi)
-    values = np.where(ok, values, np.int64(0))
-    return values, ok & ~fallback, fallback
-
-
-def _mantissa_and_fraction(buf, offsets, lengths, require_frac_after_dot):
-    """Shared digits/dot machinery for float and decimal parsing.
-
-    Returns (sign, mantissa, frac_len, digit_count, ok, fallback).
-    ``mantissa`` is the integer formed by all digits (dot removed).
-    """
-    n = len(lengths)
-    first = buf[offsets]
-    negative = first == _MINUS
-    signed = negative | (first == _PLUS)
-
-    field_ids, local = _field_geometry(offsets, lengths)
-    digits = buf.astype(np.int64) - int(_ZERO)
-    is_digit = (digits >= 0) & (digits <= 9)
-    is_dot = buf == _DOT
-    in_body = local >= signed[field_ids]
-
-    dot_count = _count_per_field(is_dot & in_body, offsets, n)
-    digit_count = _count_per_field(is_digit & in_body, offsets, n)
-    bad = in_body & ~is_digit & ~is_dot
-    ok = (_count_per_field(bad, offsets, n) == 0) \
-        & (dot_count <= 1) & (digit_count >= 1)
-    fallback = digit_count > 18
-
-    # Digit ordinal within its field (among digits only), via a global
-    # cumulative sum rebased at each field start.
-    global_digit_cum = np.cumsum(is_digit & in_body, dtype=np.int64)
-    base = global_digit_cum[offsets] - (is_digit & in_body)[offsets]
-    ordinal = global_digit_cum - 1 - base[field_ids]
-    digits_after = digit_count[field_ids] - 1 - ordinal
-    weight = _POW10[np.clip(digits_after, 0, 18)]
-    contrib = np.where(is_digit & in_body & (digits_after <= 18),
-                       digits * weight, np.int64(0))
-    mantissa = np.add.reduceat(contrib, offsets) if n else \
-        np.zeros(0, dtype=np.int64)
-
-    # Fractional length: digits strictly after the dot.
-    dot_positions = np.where(is_dot & in_body, local, np.int64(-1))
-    dot_local = np.full(n, np.int64(np.iinfo(np.int64).max))
-    has_dot = dot_count == 1
-    if np.any(is_dot & in_body):
-        per_field_dot = np.maximum.reduceat(dot_positions, offsets)
-        dot_local = np.where(has_dot, per_field_dot, dot_local)
-    after_dot = local > dot_local[field_ids]
-    frac_len = _count_per_field(is_digit & in_body & after_dot, offsets, n)
-
-    if require_frac_after_dot:
-        ok &= ~has_dot | (frac_len >= 1)
-    sign = np.where(negative, np.int64(-1), np.int64(1))
-    return sign, mantissa, frac_len, digit_count, ok, fallback
+    ok = num.ok & (num.dot_count == 0) & (values >= lo) & (values <= hi) \
+        & ~num.fallback
+    return np.where(ok, values, np.int64(0)), ok, num.fallback
 
 
 def parse_float_vector(buf: np.ndarray, offsets: np.ndarray,
@@ -214,107 +234,48 @@ def parse_float_vector(buf: np.ndarray, offsets: np.ndarray,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised float parsing for ``[+-]digits[.digits]`` literals.
 
-    Fields containing an exponent marker (``e``/``E``) or the ``nan``
-    literal are flagged for scalar fallback rather than parsed here; so
-    are >18-digit mantissas (precision).  The fallback enforces the same
-    strict CSV grammar, so Python-isms (``inf``/``infinity``, underscore
+    Fields containing a letter (exponent markers, ``nan``) are flagged
+    for scalar fallback rather than parsed here; so are mantissas over
+    15 digits (precision).  The fallback enforces the same strict CSV
+    grammar, so Python-isms (``inf``/``infinity``, underscore
     separators) are rejected on both paths.
     """
-    n = len(lengths)
-    if n == 0:
-        empty = np.zeros(0, dtype=bool)
-        return np.zeros(0, dtype=dtype.numpy_dtype), empty, empty
-
-    # Any alphabetic byte routes to the scalar path (exponents, nan, inf).
-    lower = buf | np.uint8(0x20)
-    is_alpha = (lower >= np.uint8(ord("a"))) & (lower <= np.uint8(ord("z")))
-    alpha_count = _count_per_field(is_alpha, offsets, n)
-    route_scalar = alpha_count > 0
-
-    sign, mantissa, frac_len, digit_count, ok, fallback = \
-        _mantissa_and_fraction(buf, offsets, lengths,
-                               require_frac_after_dot=False)
+    num = _parse_numbers(buf, offsets, lengths)
     # Beyond 15 significant digits the int64 mantissa is no longer exactly
     # representable in float64, so the divide below would not be correctly
     # rounded; route those to the scalar (strtod) path.
-    fallback = (fallback | route_scalar | (digit_count > 15)) \
-        & (lengths > 0)
+    fallback = num.fallback | num.alpha | (num.digit_count > 15)
+    ok = num.ok & ~fallback
     # mantissa and 10**frac_len are both exact in float64 here, so one
     # correctly-rounded division reproduces strtod's result bit for bit.
     # The sign is applied in float space so "-0.0" keeps its sign bit.
-    values = mantissa.astype(np.float64) \
-        / np.power(10.0, frac_len.astype(np.float64))
-    values = np.where(sign < 0, -values, values)
-    values = values.astype(dtype.numpy_dtype)
-    ok = ok & ~route_scalar
-    values = np.where(ok, values, 0.0).astype(dtype.numpy_dtype)
-    return values, ok & ~fallback, fallback
+    values = num.mantissa / np.power(10.0, num.frac_len)
+    values = np.where(num.sign < 0, -values, values)
+    return np.where(ok, values, 0.0).astype(dtype.numpy_dtype), ok, fallback
 
 
 def parse_decimal_vector(buf: np.ndarray, offsets: np.ndarray,
                          lengths: np.ndarray, scale: int
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised fixed-scale decimal parsing into scaled int64."""
-    n = len(lengths)
-    if n == 0:
-        empty = np.zeros(0, dtype=bool)
-        return np.zeros(0, dtype=np.int64), empty, empty
-    sign, mantissa, frac_len, digit_count, ok, fallback = \
-        _mantissa_and_fraction(buf, offsets, lengths,
-                               require_frac_after_dot=True)
-    ok &= frac_len <= scale
+    num = _parse_numbers(buf, offsets, lengths)
     # Total scaled digits must stay within the int64 weight table.
-    fallback |= (digit_count + scale - frac_len) > 18
-    shift = np.clip(scale - frac_len, 0, 18)
-    values = sign * mantissa * _POW10[shift]
-    values = np.where(ok, values, np.int64(0))
-    return values, ok & ~fallback, fallback
+    fallback = num.fallback \
+        | (num.digit_count + scale - num.frac_len > 18)
+    ok = num.ok & (num.frac_len <= scale) & ~fallback \
+        & ((num.dot_count == 0) | (num.frac_len >= 1))
+    values = num.sign * num.mantissa \
+        * _POW10[np.clip(scale - num.frac_len, 0, 18)]
+    return np.where(ok, values, np.int64(0)), ok, fallback
 
 
 def parse_bool_vector(buf: np.ndarray, offsets: np.ndarray,
                       lengths: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised boolean parsing (1/0, t/f, true/false, common cases)."""
-    n = len(lengths)
-    values = np.zeros(n, dtype=bool)
-    ok = np.zeros(n, dtype=bool)
-    fallback = np.zeros(n, dtype=bool)
-    for literal, value in ((b"1", True), (b"0", False),  # parlint: disable=PPR401 -- 12 fixed boolean literals
-                           (b"t", True), (b"f", False),
-                           (b"T", True), (b"F", False),
-                           (b"true", True), (b"false", False),
-                           (b"True", True), (b"False", False),
-                           (b"TRUE", True), (b"FALSE", False)):
-        candidates = lengths == len(literal)
-        if not np.any(candidates):
-            continue
-        match = candidates.copy()
-        for i, ch in enumerate(literal):  # parlint: disable=PPR401 -- bounded by the literal's length with vectorised per-byte compares
-            idx = offsets + i
-            # Guard the gather for non-candidate fields.
-            safe = np.where(candidates, idx, 0)
-            match &= buf[safe] == ch
-        values = np.where(match, value, values)
-        ok |= match
-    return values, ok, fallback
-
-
-def _fixed_width_matrix(buf: np.ndarray, offsets: np.ndarray,
-                        lengths: np.ndarray,
-                        width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, width) byte matrix for fields of exactly ``width`` bytes.
-
-    Returns the matrix and the mask of fields with the right length;
-    wrong-length rows are zero filled.
-    """
-    n = len(lengths)
-    right_length = lengths == width
-    matrix = np.zeros((n, width), dtype=np.uint8)
-    if np.any(right_length):
-        rows = np.flatnonzero(right_length)
-        gather = offsets[rows, None] + np.arange(width, dtype=np.int64)
-        matrix[rows] = buf[gather]
-    return matrix, right_length
+    true = match_literals(buf, offsets, lengths, _TRUE_LITERALS)
+    false = match_literals(buf, offsets, lengths, _FALSE_LITERALS)
+    return true, true | false, np.zeros(len(lengths), dtype=bool)
 
 
 def _civil_days_vector(year: np.ndarray, month: np.ndarray,
@@ -347,59 +308,62 @@ def _valid_ymd_vector(year: np.ndarray, month: np.ndarray,
 def _digits_value(matrix: np.ndarray,
                   columns: slice) -> tuple[np.ndarray, np.ndarray]:
     """Integer value of a digit span in a fixed-width matrix + validity."""
-    sub = matrix[:, columns].astype(np.int64) - int(_ZERO)
-    valid = np.all((sub >= 0) & (sub <= 9), axis=1)
-    weights = _POW10[np.arange(sub.shape[1])[::-1]]
-    return (sub * weights).sum(axis=1), valid
+    digits = matrix[:, columns] - _ZERO
+    return _horner(digits), np.all(digits <= 9, axis=1)
+
+
+def _parse_exact_width(buf: np.ndarray, offsets: np.ndarray,
+                       lengths: np.ndarray, width: int, parse_rows,
+                       dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run ``parse_rows`` over the matrix of the fields of exactly
+    ``width`` bytes; every other field is rejected."""
+    n = len(lengths)
+    values = np.zeros(n, dtype=dtype)
+    ok = np.zeros(n, dtype=bool)
+    rows = np.flatnonzero(lengths == width)
+    row_values, row_ok = parse_rows(_field_matrix(
+        buf, offsets[rows] + width, lengths[rows], width))
+    ok[rows] = row_ok
+    values[rows] = np.where(row_ok, row_values, 0)
+    return values, ok, np.zeros(n, dtype=bool)
+
+
+def _date_days(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Days since the epoch of each row's ``YYYY-MM-DD`` prefix + validity."""
+    year, year_ok = _digits_value(matrix, slice(0, 4))
+    month, month_ok = _digits_value(matrix, slice(5, 7))
+    day, day_ok = _digits_value(matrix, slice(8, 10))
+    ok = ((matrix[:, 4] == ord("-")) & (matrix[:, 7] == ord("-"))
+          & year_ok & month_ok & day_ok)
+    ok &= _valid_ymd_vector(year, month, day)
+    return _civil_days_vector(year, month, day), ok
+
+
+def _timestamp_seconds(matrix: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of each ``YYYY-MM-DD HH:MM:SS`` row + validity."""
+    days, ok = _date_days(matrix)
+    hour, hour_ok = _digits_value(matrix, slice(11, 13))
+    minute, minute_ok = _digits_value(matrix, slice(14, 16))
+    second, second_ok = _digits_value(matrix, slice(17, 19))
+    ok &= ((matrix[:, 10] == ord(" ")) & (matrix[:, 13] == ord(":"))
+           & (matrix[:, 16] == ord(":"))
+           & hour_ok & minute_ok & second_ok
+           & (hour <= 23) & (minute <= 59) & (second <= 59))
+    return days * 86400 + hour * 3600 + minute * 60 + second, ok
 
 
 def parse_date_vector(buf: np.ndarray, offsets: np.ndarray,
                       lengths: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised ``YYYY-MM-DD`` parsing into days since the epoch."""
-    n = len(lengths)
-    if n == 0:
-        empty = np.zeros(0, dtype=bool)
-        return np.zeros(0, dtype=np.int32), empty, empty
-    matrix, right_length = _fixed_width_matrix(buf, offsets, lengths, 10)
-    separators = (matrix[:, 4] == ord("-")) & (matrix[:, 7] == ord("-"))
-    year, year_ok = _digits_value(matrix, slice(0, 4))
-    month, month_ok = _digits_value(matrix, slice(5, 7))
-    day, day_ok = _digits_value(matrix, slice(8, 10))
-    ok = right_length & separators & year_ok & month_ok & day_ok
-    ok &= _valid_ymd_vector(year, month, day)
-    days = np.where(ok, _civil_days_vector(year, month, day), 0)
-    fallback = np.zeros(n, dtype=bool)
-    return days.astype(np.int32), ok, fallback
+    return _parse_exact_width(buf, offsets, lengths, 10, _date_days,
+                              np.int32)
 
 
 def parse_timestamp_vector(buf: np.ndarray, offsets: np.ndarray,
                            lengths: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised ``YYYY-MM-DD HH:MM:SS`` parsing into epoch seconds."""
-    n = len(lengths)
-    if n == 0:
-        empty = np.zeros(0, dtype=bool)
-        return np.zeros(0, dtype=np.int64), empty, empty
-    matrix, right_length = _fixed_width_matrix(buf, offsets, lengths, 19)
-    separators = ((matrix[:, 4] == ord("-")) & (matrix[:, 7] == ord("-"))
-                  & (matrix[:, 10] == ord(" "))
-                  & (matrix[:, 13] == ord(":"))
-                  & (matrix[:, 16] == ord(":")))
-    year, year_ok = _digits_value(matrix, slice(0, 4))
-    month, month_ok = _digits_value(matrix, slice(5, 7))
-    day, day_ok = _digits_value(matrix, slice(8, 10))
-    hour, hour_ok = _digits_value(matrix, slice(11, 13))
-    minute, minute_ok = _digits_value(matrix, slice(14, 16))
-    second, second_ok = _digits_value(matrix, slice(17, 19))
-    ok = (right_length & separators & year_ok & month_ok & day_ok
-          & hour_ok & minute_ok & second_ok)
-    ok &= _valid_ymd_vector(year, month, day)
-    ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
-    seconds = np.where(
-        ok,
-        _civil_days_vector(year, month, day) * 86400
-        + hour * 3600 + minute * 60 + second,
-        0)
-    fallback = np.zeros(n, dtype=bool)
-    return seconds.astype(np.int64), ok, fallback
+    return _parse_exact_width(buf, offsets, lengths, 19,
+                              _timestamp_seconds, np.int64)

@@ -7,6 +7,7 @@ from repro.columnar.schema import DataType, Field
 from repro.core.conversion import CollaborationStats, convert_column
 from repro.core.css import ColumnIndex
 from repro.core.options import ParseOptions
+from repro.core.scalar_convert import convert_scalar
 from repro.errors import ConversionError
 
 
@@ -73,11 +74,9 @@ class TestFixedWidth:
         rows = np.arange(5)
         field = Field("f", DataType.FLOAT64)
         vector, _ = convert_column(field, css, index, rows, 5, IDENTITY)
-        scalar, _ = convert_column(
-            field, css, index, rows, 5,
-            IDENTITY.with_(vectorized_conversion=False))
-        assert vector.to_list() == scalar.to_list()
-        assert vector.rejects == scalar.rejects
+        scalar = [convert_scalar(field, text) for text in fields]
+        assert vector.to_list() == [value for value, _ in scalar]
+        assert vector.rejects == sum(not ok for _, ok in scalar)
 
     def test_non_nullable_gets_zero_default(self):
         css, index = make_index([b"1"], [0])

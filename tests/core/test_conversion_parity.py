@@ -1,11 +1,14 @@
-"""Property test: scalar and vectorized conversion are interchangeable.
+"""Property test: the vector converters match the scalar oracle.
 
-``ParseOptions.vectorized_conversion`` selects between the scalar
-per-field converters and the vectorised column kernels; the two are
-different code paths over the same grammar, so for ANY input they must
-produce identical columns, validity masks and inferred types.  The
-strategy deliberately covers the awkward corners: empty fields, null
-literals, records with deviating column counts, Python-ism numerics
+:func:`~repro.core.parser.parse_bytes` converts every column with the
+vector parsers of :mod:`repro.core.vector_convert`;
+:class:`~repro.baselines.SequentialParser` converts every field with
+the scalar reference converters.  The two are different code paths over
+the same grammar, so for ANY input they must produce identical columns,
+validity masks and reject counts.  Inferred-type cases hand the
+sequential parser the schema ParPaRaw inferred.  The strategy
+deliberately covers the awkward corners: empty fields, null literals,
+records with deviating column counts, Python-ism numerics
 (``inf``/``1_000``) that both paths must reject in lockstep.
 """
 
@@ -13,6 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import SequentialParser
 from repro.core.options import ColumnCountPolicy, ParseOptions
 from repro.core.parser import parse_bytes
 
@@ -43,19 +47,17 @@ def render_csv(rows: list[list[bytes]]) -> bytes:
 
 
 def parse_both(data: bytes, **kwargs):
-    results = []
-    for vectorized in (False, True):
-        options = ParseOptions(
-            null_literals=NULLS,
-            column_count_policy=ColumnCountPolicy.LENIENT,
-            vectorized_conversion=vectorized,
-            **kwargs)
-        results.append(parse_bytes(data, options))
-    return results
+    """(scalar oracle table, vector-path table) for one input."""
+    options = ParseOptions(null_literals=NULLS,
+                           column_count_policy=ColumnCountPolicy.LENIENT,
+                           **kwargs)
+    vectorized = parse_bytes(data, options).table
+    if options.infer_types:
+        options = options.with_(schema=vectorized.schema, infer_types=False)
+    return SequentialParser(options).parse(data), vectorized
 
 
-def assert_tables_identical(scalar, vectorized):
-    ts, tv = scalar.table, vectorized.table
+def assert_tables_identical(ts, tv):
     assert [f.dtype for f in ts.schema] == [f.dtype for f in tv.schema]
     assert ts.num_rows == tv.num_rows
     for cs, cv in zip(ts.columns, tv.columns):
@@ -69,7 +71,6 @@ def assert_tables_identical(scalar, vectorized):
             mask = cs.validity.to_mask()
             np.testing.assert_array_equal(vs[mask], vv[mask])
         assert cs.rejects == cv.rejects
-    assert scalar.rejected_records == vectorized.rejected_records
 
 
 class TestScalarVectorizedParity:
@@ -90,15 +91,15 @@ class TestScalarVectorizedParity:
     def test_pythonisms_infer_string_on_both_paths(self):
         data = b"inf\n-Infinity\n1_000\n1_0e2\n"
         scalar, vectorized = parse_both(data, infer_types=True)
-        for result in (scalar, vectorized):
-            (field,) = result.table.schema
+        for table in (scalar, vectorized):
+            (field,) = table.schema
             assert field.dtype.value == "string"
         assert_tables_identical(scalar, vectorized)
 
     def test_nan_still_floats_on_both_paths(self):
         data = b"nan\n1.5\nNaN\n"
         scalar, vectorized = parse_both(data, infer_types=True)
-        for result in (scalar, vectorized):
-            (field,) = result.table.schema
+        for table in (scalar, vectorized):
+            (field,) = table.schema
             assert field.dtype.value == "float64"
         assert_tables_identical(scalar, vectorized)

@@ -59,9 +59,7 @@ class TestNullLiterals:
     def test_scalar_path_agrees(self):
         data = b"1,NA\nnull,-\n2,z\n"
         vector = parse_bytes(data, OPTIONS).table.to_pylist()
-        scalar = parse_bytes(
-            data, OPTIONS.with_(vectorized_conversion=False)) \
-            .table.to_pylist()
+        scalar = SequentialParser(OPTIONS).parse(data).to_pylist()
         assert vector == scalar
 
     @given(st.lists(st.sampled_from(

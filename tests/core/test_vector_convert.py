@@ -2,8 +2,11 @@
 
 Each vector parser must, over arbitrary byte fields, either (a) agree with
 the scalar reference exactly, or (b) flag the field for fallback — never
-silently disagree.
+silently disagree.  The numeric parsers are also checked at every
+body-width class edge, and against a memory bound on skewed columns.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from repro.core.scalar_convert import (
     parse_timestamp_scalar,
 )
 from repro.core.vector_convert import (
+    _field_matrix,
     pack_fields,
     parse_bool_vector,
     parse_date_vector,
@@ -223,3 +227,89 @@ class TestTimestampVector:
             assert bool(ok[i]) == expected_ok, field
             if expected_ok:
                 assert int(values[i]) == expected
+
+
+def _body(length: int, dot: int | None, draw_digit) -> bytes:
+    """``length`` digits, with position ``dot`` (if any) made a dot."""
+    text = bytearray(draw_digit() for _ in range(length))
+    if dot is not None:
+        text[dot % length] = ord(".")
+    return bytes(text)
+
+
+#: Body lengths on both sides of every width-class edge (4/5, 8/9,
+#: 18/19), plus the narrowest and one past the fallback edge.
+EDGE_LENGTHS = [1, 3, 4, 5, 7, 8, 9, 17, 18, 19, 20]
+
+
+@st.composite
+def edge_fields(draw):
+    length = draw(st.sampled_from(EDGE_LENGTHS) | st.integers(1, 20))
+    dot = draw(st.none() | st.integers(0, 19))
+    sign = draw(st.sampled_from([b"", b"-", b"+"]))
+    digit = st.integers(ord("0"), ord("9"))
+    return sign + _body(length, dot, lambda: draw(digit))
+
+
+class TestWidthClasses:
+    """One column mixes bodies from every width class; each field must
+    still agree with the scalar parser or fall back."""
+
+    @given(st.lists(edge_fields(), min_size=1, max_size=40),
+           st.integers(0, 6))
+    @settings(max_examples=200)
+    def test_numeric_parsers_at_class_edges(self, fields, scale):
+        buf, offsets, lengths = packed(fields)
+        for parse, scalar in (
+                (parse_int_vector, parse_int_scalar),
+                (parse_float_vector, parse_float_scalar),
+                (lambda *a: parse_decimal_vector(*a, scale),
+                 lambda f: parse_decimal_scalar(f, scale))):
+            values, ok, fallback = parse(buf, offsets, lengths)
+            for i, field in enumerate(fields):
+                if fallback[i]:
+                    continue
+                expected, expected_ok = scalar(field)
+                assert bool(ok[i]) == expected_ok, (parse, field)
+                if expected_ok:
+                    assert values[i] == expected, (parse, field)
+
+    @given(st.lists(edge_fields(), min_size=1, max_size=40))
+    @settings(max_examples=100)
+    def test_ints_up_to_18_digits_never_fall_back(self, fields):
+        buf, offsets, lengths = packed(fields)
+        _, _, fallback = parse_int_vector(buf, offsets, lengths)
+        bodies = [len(f.lstrip(b"+-")) for f in fields]
+        assert fallback.tolist() == [b > 18 for b in bodies]
+
+    def test_field_matrix_right_aligns_and_pads(self):
+        buf, offsets, lengths = packed([b"7", b"123", b"98765"])
+        matrix = _field_matrix(buf, offsets + lengths, lengths, 3)
+        assert [row.tobytes() for row in matrix] \
+            == [b"007", b"123", b"765"]
+
+
+def _traced_peak(parse, fields, *extra) -> int:
+    buf, offsets, lengths = packed(fields)
+    tracemalloc.start()
+    try:
+        parse(buf, offsets, lengths, *extra)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSkewBound:
+    """One 18-digit outlier must not widen a column of short fields: a
+    single column-wide matrix costs 1.6-2.3x the memory here."""
+
+    @pytest.mark.parametrize("parse,short,extra", [
+        (parse_int_vector, b"7", ()),
+        (parse_decimal_vector, b"1.25", (2,)),
+    ], ids=["int", "decimal"])
+    def test_outlier_peak_within_bound(self, parse, short, extra):
+        fields = [short] * 200_000
+        plain = _traced_peak(parse, fields, *extra)
+        fields[-1] = b"123456789012345678"
+        skewed = _traced_peak(parse, fields, *extra)
+        assert skewed <= 1.25 * plain, (skewed, plain)

@@ -134,10 +134,8 @@ class TestOptionsZoo:
         ParseOptions(dialect=NO_CR, chunk_size=8,
                      schema=Schema.all_strings(3),
                      column_count_policy=ColumnCountPolicy.REJECT),
-        ParseOptions(dialect=NO_CR, chunk_size=8,
-                     vectorized_conversion=False, infer_types=True),
     ], ids=["inline", "delimited", "infer", "select", "skip-rows",
-            "skip-records", "nulls", "reject", "scalar-convert"])
+            "skip-records", "nulls", "reject"])
     def test_option_equivalence(self, options):
         for workers, shard_bytes in ((2, 5), (3, 17), (4, None)):
             assert_results_match(self.UNIFORM, options,
