@@ -46,6 +46,14 @@ python -m pytest tests/analysis/test_dfa_proofs.py -q
 # unit-stride oracles (STVs, emissions, final state, invalid position;
 # both executors; minimised and raw automata).
 python -m pytest tests/kernels/test_parity.py -q
+# Scan tier: the reduce-then-walk context scan must match the scalar
+# Hillis-Steele and sequential composition scans (any state count, chunk
+# counts at every block edge, one or all start states), give every chunk
+# its sequential start state through both executors, and stay within
+# 2.5x the chunk vectors' bytes at peak.
+python -m pytest tests/scan/test_numpy_scan.py tests/core/test_context.py \
+    tests/exec/test_executors.py \
+    "tests/core/test_memory_bound.py::test_scan_peak_per_vector_byte" -q
 # Partition tier: the field-run strategy must be bit-identical to the
 # stable radix sort (css, record tags, offsets, order) across dialects,
 # tagging modes and executors.

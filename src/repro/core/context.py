@@ -6,8 +6,12 @@ where each hypothetical start state ends up: its *state-transition vector*
 with the identity, turns local knowledge into global: entry ``i`` of chunk
 ``c``'s scanned vector is the state the sequential automaton would be in
 when entering chunk ``c``, had the whole input started in state ``i``.
-Indexing with the DFA's real start state gives every chunk its true start
-state — no sequential pass, no constraint on the input.
+Evaluating the scan at the DFA's real start state gives every chunk its
+true start state — no sequential pass, no constraint on the input.  The
+scan is reduce-then-walk (:func:`repro.scan.numpy_scan.entering_states`):
+blocks of STVs reduce to composites, a walk over the composites gives
+each block's entering state, and one state per block is carried through
+its chunks.
 
 The batched STV computation iterates over the *chunk-local* byte positions
 (a loop of ``chunk_size`` steps) while operating on all chunks at once —
@@ -21,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dfa.automaton import Dfa
-from repro.scan.numpy_scan import scan_transition_vectors
+from repro.scan.numpy_scan import entering_states
 
 __all__ = [
     "compute_transition_vectors",
@@ -55,10 +59,12 @@ def chunk_start_states(vectors: np.ndarray, dfa: Dfa) -> np.ndarray:
 
     Returns ``(num_chunks,)`` uint8; entry ``c`` is the DFA state entering
     chunk ``c`` when the sequential automaton starts the whole input in
-    ``dfa.start_state``.
+    ``dfa.start_state``.  Only that one start state is carried through
+    the chunks, so the scan is ``O(n·|S|)`` work to reduce plus ``O(n)``
+    to carry.
     """
-    scanned = scan_transition_vectors(vectors, exclusive=True)
-    return scanned[:, dfa.start_state].astype(np.uint8)
+    rows = entering_states(vectors, [dfa.start_state])
+    return rows[:-1, 0].astype(np.uint8, copy=False)
 
 
 def determine_contexts(groups: np.ndarray,

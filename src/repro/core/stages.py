@@ -30,7 +30,6 @@ sharded across a process pool with scan-based shard combination.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -72,6 +71,7 @@ from repro.kernels import (
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.scan.numpy_scan import scan_depth
 from repro.utils.timing import StepTimer
 
 __all__ = [
@@ -383,11 +383,8 @@ class ScanStage(Stage):
         return ChunkContexts(**payload.__dict__, start_states=start_states)
 
     def record_metrics(self, metrics, payload: ChunkContexts) -> None:
-        # Depth of the composition scan tree over the chunk STVs.
-        num_chunks = payload.chunking.num_chunks
-        metrics.gauge("scan.depth",
-                      math.ceil(math.log2(num_chunks)) if num_chunks > 1
-                      else 0)
+        # Sequential depth of the reduce-then-walk scan over the STVs.
+        metrics.gauge("scan.depth", scan_depth(payload.chunking.num_chunks))
 
 
 class TagStage(Stage):

@@ -11,12 +11,14 @@ combine under the very same operator.
 phases across a ``ProcessPoolExecutor``:
 
 1. **contexts** (timer step ``parse``) — every worker chunks its shard,
-   computes per-chunk STVs, their shard-local exclusive composition scan,
-   and the shard's composite vector;
-2. **combine** (timer step ``scan``) — the main process scans the shard
-   composites (one tiny composition scan over ``num_shards`` vectors),
-   yielding every shard's entering DFA state, and resolves each chunk's
-   start state from the shard-local scans;
+   computes per-chunk STVs, and runs the reduce-then-walk composition
+   scan (:func:`~repro.scan.numpy_scan.entering_states`) from every
+   state at once: its rows are the shard-local exclusive scan, its last
+   row the shard's composite vector;
+2. **combine** (timer step ``scan``) — the main process walks the shard
+   composites from the start state (the same scan over ``num_shards``
+   vectors), yielding every shard's entering DFA state, and resolves
+   each chunk's start state from the shard-local scans;
 3. **tags** (timer step ``tag``) — every worker re-simulates its shard
    with the now-known start states, returning only its emissions, final
    state and first invalid position (one byte per shard byte); the main
@@ -74,7 +76,7 @@ from repro.kernels import (
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import Tracer, snapshot_spans
-from repro.scan.numpy_scan import scan_transition_vectors
+from repro.scan.numpy_scan import entering_states
 
 __all__ = ["ShardedExecutor"]
 
@@ -188,13 +190,9 @@ def _shard_contexts(shard, dfa: Dfa, chunk_size: int, stride: int = 1,
             plan = get_plan(padded_dfa, stride, chunk_size,
                             metrics or NULL_METRICS)
             vectors = compute_transition_vectors_plan(groups, plan)
-            inclusive = scan_transition_vectors(vectors, exclusive=False)
-            local_scan = np.empty_like(inclusive)
-            local_scan[0] = np.arange(inclusive.shape[1],
-                                      dtype=inclusive.dtype)
-            local_scan[1:] = inclusive[:-1]
+            rows = entering_states(vectors, np.arange(vectors.shape[1]))
         obs = _pack_obs(tracer, metrics, "contexts", start, int(raw.size))
-        return local_scan, inclusive[-1], obs
+        return rows[:-1], rows[-1], obs
     finally:
         _close_shard(handle)
 
@@ -383,15 +381,14 @@ class ShardedExecutor(Executor):
                     # (§3.1, twice).
                     composites = np.stack([composite
                                            for _, composite, _ in contexts])
-                    entering = scan_transition_vectors(composites,
-                                                       exclusive=True)
                     # Composites live in the workers' canonical state
-                    # space; index with that space's start state.
-                    entering_states = entering[:, run_dfa.start_state]
+                    # space; walk them from that space's start state.
+                    shard_states = entering_states(
+                        composites, [run_dfa.start_state])[:-1, 0]
                     start_states = [
                         local_scan[:, int(state)].astype(np.uint8)
                         for (local_scan, _, _), state
-                        in zip(contexts, entering_states)
+                        in zip(contexts, shard_states)
                     ]
 
             if metrics.enabled:

@@ -48,7 +48,6 @@ from repro.scan.hierarchical import (
 from repro.scan.numpy_scan import (
     exclusive_sum,
     inclusive_sum,
-    compose_vectors,
     scan_transition_vectors,
     scan_column_offsets,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "hierarchical_device_scan",
     "exclusive_sum",
     "inclusive_sum",
-    "compose_vectors",
     "scan_transition_vectors",
     "scan_column_offsets",
 ]

@@ -7,15 +7,22 @@ arrays) give: about 12 B/B on yelp-like input and 25 B/B on the
 many-short-fields taxi and logs shapes; per-symbol int64 tags put these
 at 55 and 67 B/B.  A parse of a large input also trims the C heap once,
 so the freed buffers leave the resident set.
+
+The context scan has its own bound: over the ~270k chunk vectors of an
+8 MiB input it must stay within a small multiple of the vectors' own
+size (doubling scans copy them once per sweep).
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro import Dialect, ParPaRawParser, ParseOptions
 from repro.columnar.serialize import write_feather
 from repro.core import parser as parser_module
+from repro.core.context import chunk_start_states
+from repro.dfa.minimize import canonicalize
 from repro.workloads import (
     TAXI_SCHEMA,
     YELP_SCHEMA,
@@ -52,6 +59,20 @@ def test_peak_bytes_per_input_byte(shape):
     finally:
         tracemalloc.stop()
     assert peak / len(data) <= bound, f"{peak / len(data):.1f} B/B"
+
+
+def test_scan_peak_per_vector_byte():
+    dfa = canonicalize(ParseOptions(dialect=RFC4180).resolved_dfa()).dfa
+    assert dfa.num_states == 5
+    vectors = np.random.default_rng(1).integers(
+        0, dfa.num_states, (270_000, dfa.num_states), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        chunk_start_states(vectors, dfa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * vectors.nbytes, f"{peak / vectors.nbytes:.2f}x"
 
 
 def test_heap_trimmed_after_large_parses_only(monkeypatch):

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.scan import numpy_scan
+from repro.scan.hillis_steele import hillis_steele_scan
 from repro.scan.numpy_scan import (
-    compose_vectors,
+    entering_states,
     exclusive_sum,
     inclusive_sum,
     scan_column_offsets,
+    scan_depth,
     scan_transition_vectors,
 )
 from repro.scan.operators import (
@@ -18,7 +21,7 @@ from repro.scan.operators import (
     OffsetKind,
     TransitionComposeMonoid,
 )
-from repro.scan.sequential import exclusive_scan, inclusive_scan
+from repro.scan.sequential import exclusive_scan, inclusive_scan, reduce
 
 NUM_STATES = 6
 
@@ -44,21 +47,6 @@ class TestSums:
         # Byte offsets must not wrap in int32.
         values = np.full(10, 2 ** 30, dtype=np.int64)
         assert int(inclusive_sum(values)[-1]) == 10 * 2 ** 30
-
-
-class TestComposeVectors:
-    def test_matches_monoid(self):
-        m = TransitionComposeMonoid(4)
-        a = np.array([1, 0, 3, 2], dtype=np.uint8)
-        b = np.array([2, 2, 0, 1], dtype=np.uint8)
-        assert compose_vectors(a, b).tolist() == list(m.combine(tuple(a),
-                                                                tuple(b)))
-
-    def test_batched(self):
-        a = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-        b = np.array([[1, 1], [0, 0]], dtype=np.uint8)
-        out = compose_vectors(a, b)
-        assert out.tolist() == [[1, 1], [0, 0]]
 
 
 vector_arrays = hnp.arrays(
@@ -91,6 +79,73 @@ class TestScanTransitionVectors:
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             scan_transition_vectors(np.zeros(5, dtype=np.uint8))
+
+
+BLOCK = numpy_scan._BLOCK
+#: Chunk counts around the block edges of the reduce-then-walk scan.
+EDGE_LENGTHS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK + 5)
+
+
+@st.composite
+def stv_cases(draw):
+    """``(vectors, starts)``: uint8 STVs over 1..8 states and start states.
+
+    Most rows are permutations, so prefix compositions stay far from
+    constant and every start state follows its own path.
+    """
+    num_states = draw(st.integers(1, 8))
+    n = draw(st.one_of(st.sampled_from(EDGE_LENGTHS),
+                       st.integers(0, 3 * BLOCK + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vectors = rng.integers(0, num_states, (n, num_states), dtype=np.uint8)
+    for row in np.flatnonzero(rng.random(n) < 0.9):
+        vectors[row] = rng.permutation(num_states)
+    if draw(st.booleans()):
+        starts = [draw(st.integers(0, num_states - 1))]
+    else:
+        starts = list(range(num_states))
+    return vectors, starts
+
+
+class TestEnteringStates:
+    @given(stv_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_scans(self, case):
+        vectors, starts = case
+        m = TransitionComposeMonoid(vectors.shape[1])
+        items = [tuple(int(x) for x in row) for row in vectors]
+        expected = exclusive_scan(items, m)
+        assert hillis_steele_scan(items, m, exclusive=True) == expected
+        total = reduce(items, m)
+        rows = entering_states(vectors, starts)
+        assert rows.dtype == np.uint8
+        assert rows.shape == (len(items) + 1, len(starts))
+        assert rows[:-1].tolist() == [[prefix[s] for s in starts]
+                                      for prefix in expected]
+        assert rows[-1].tolist() == [total[s] for s in starts]
+
+    @pytest.mark.parametrize("n", EDGE_LENGTHS)
+    def test_non_contiguous_vectors(self, n):
+        rng = np.random.default_rng(n)
+        wide = rng.integers(0, 4, (2 * n, 7), dtype=np.uint8)
+        vectors = wide[::2, 1:5]
+        assert not vectors.flags.c_contiguous or n <= 1
+        expected = entering_states(np.ascontiguousarray(vectors),
+                                   np.arange(4))
+        assert np.array_equal(entering_states(vectors, np.arange(4)),
+                              expected)
+        assert np.array_equal(scan_transition_vectors(vectors),
+                              expected[:-1])
+
+    def test_empty_input_is_the_start_states(self):
+        rows = entering_states(np.zeros((0, 3), dtype=np.uint8), [2, 0])
+        assert rows.tolist() == [[2, 0]]
+
+    def test_scan_depth(self):
+        assert scan_depth(0) == 0
+        assert scan_depth(1) == 2 * BLOCK + 1
+        assert scan_depth(BLOCK) == 2 * BLOCK + 1
+        assert scan_depth(BLOCK + 1) == 2 * BLOCK + 2
 
 
 class TestScanColumnOffsets:
