@@ -1,7 +1,8 @@
 """Ablations over the design choices DESIGN.md calls out.
 
-* GLOBAL vs CHUNKED tagging implementation (vectorised cumulative sums vs
-  the paper's per-chunk offsets + scans);
+* global vs chunked tagger (vectorised cumulative sums vs the paper's
+  per-chunk offsets + scans) on one emission stream — every parse runs
+  the global one, the chunked one is its test oracle;
 * vectorised type conversion over per-field byte matrices;
 * radix-sort digit width;
 * scan algorithm choice (sequential / Hillis-Steele / Blelloch /
@@ -13,22 +14,44 @@ import pytest
 
 from conftest import run_benchmark
 
-from repro import ParPaRawParser, ParseOptions, TaggingImpl
+from repro import ParPaRawParser, ParseOptions
+from repro.core.chunking import Chunking
 from repro.core.partition import stable_radix_sort
+from repro.core.stages import PipelineContext, RawInput
+from repro.core.tagging import tag_chunked, tag_global
+from repro.exec import SerialExecutor
 from repro.scan.blelloch import blelloch_scan
 from repro.scan.decoupled_lookback import single_pass_scan
 from repro.scan.hillis_steele import hillis_steele_scan
 from repro.scan.numpy_scan import scan_transition_vectors
 from repro.scan.operators import SumMonoid, TransitionComposeMonoid
 from repro.scan.sequential import exclusive_scan
+from repro.utils.timing import StepTimer
 
 
-@pytest.mark.parametrize("impl", list(TaggingImpl))
-def test_tagging_impl(benchmark, yelp_1mb, yelp_schema, impl):
-    parser = ParPaRawParser(ParseOptions(schema=yelp_schema,
-                                         tagging_impl=impl))
-    result = run_benchmark(benchmark, parser.parse, yelp_1mb)
-    assert result.num_rows > 0
+@pytest.fixture(scope="module")
+def yelp_emissions(yelp_1mb, yelp_schema):
+    """The 1 MiB yelp input's emission stream, final state and chunking,
+    from the pipeline's own stages up to tagging."""
+    options = ParseOptions(schema=yelp_schema)
+    ctx = PipelineContext(options=options, dfa=options.resolved_dfa(),
+                          timer=StepTimer())
+    raw = np.frombuffer(yelp_1mb, dtype=np.uint8)
+    tags = SerialExecutor().execute(
+        ctx, RawInput(raw=raw, input_bytes=raw.size), until="tag").tags
+    return (tags.emissions, tags.final_state,
+            Chunking.of(raw.size, options.chunk_size))
+
+
+@pytest.mark.parametrize("impl", ["global", "chunked"])
+def test_tagging_impl(benchmark, yelp_emissions, impl):
+    emissions, final_state, chunking = yelp_emissions
+    if impl == "global":
+        tags = run_benchmark(benchmark, tag_global, emissions, final_state)
+    else:
+        tags = run_benchmark(benchmark, tag_chunked, emissions,
+                             final_state, chunking)
+    assert tags.num_records > 0
 
 
 def test_conversion_path(benchmark, taxi_1mb, taxi_schema):

@@ -51,7 +51,6 @@ from repro import (
     Dialect,
     ParPaRawParser,
     ParseOptions,
-    PartitionStrategy,
     TaggingMode,
 )
 from repro.columnar.serialize import write_feather
@@ -88,8 +87,6 @@ def _options_from_args(args: argparse.Namespace) -> ParseOptions:
         kernel_table_budget=getattr(args, "table_budget",
                                     DEFAULT_TABLE_BUDGET),
         tagging_mode=TaggingMode(args.tagging_mode),
-        partition_strategy=None if args.partition_strategy == "auto"
-        else PartitionStrategy(args.partition_strategy),
         infer_types=getattr(args, "infer_types", False),
         column_count_policy=ColumnCountPolicy(args.column_policy),
         plan=None if getattr(args, "plan", "off") == "off" else args.plan,
@@ -150,7 +147,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         decision = planner.plan(data, options)
         w = decision.winner
         print(f"plan: chunk={w.chunk_size} stride={w.stride} "
-              f"partition={w.strategy} workers={decision.workers} "
+              f"workers={decision.workers} "
               f"({decision.modelled_seconds * 1e3:.2f} ms modelled, "
               f"fingerprint {decision.fingerprint})")
         # An explicit --workers wins; otherwise follow the planner.
@@ -374,13 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "precomposed k-gram tables (default: 4 MiB)")
         p.add_argument("--tagging-mode", default="tagged",
                        choices=[m.value for m in TaggingMode])
-        p.add_argument("--partition-strategy", default="auto",
-                       choices=["auto"] + [s.value
-                                           for s in PartitionStrategy],
-                       help="phase 3a CSS materialisation: field-run "
-                            "(O(n) segment gather), radix (GPU-faithful "
-                            "sort), or auto (default: field-run when the "
-                            "tags are run-structured)")
         p.add_argument("--column-policy", default="lenient",
                        choices=[p.value for p in ColumnCountPolicy])
         p.add_argument("--workers", type=_positive_int, default=1,
@@ -389,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(1 = serial, the default)")
         p.add_argument("--plan", default="off", choices=("off", "auto"),
                        help="auto = let the self-tuning planner probe "
-                            "the input and pick chunk size, stride and "
-                            "partition strategy with its calibrated "
-                            "cost model (see docs/PLANNER.md)")
+                            "the input and pick chunk size and stride "
+                            "with its calibrated cost model (see "
+                            "docs/PLANNER.md)")
 
     p_parse = sub.add_parser("parse", help="parse a file")
     p_parse.add_argument("file")

@@ -8,12 +8,14 @@ follows them:
    handling (§4.2);
 2. :mod:`~repro.core.context` — per-chunk state-transition vectors and the
    composition scan that yields every chunk's parsing context (§3.1);
-3. :mod:`~repro.core.tagging` / :mod:`~repro.core.offsets` — delimiter
-   bitmap indexes, record/column offsets via the rel/abs operator scan, and
-   per-symbol record/column tags (§3.2);
-4. :mod:`~repro.core.partition` / :mod:`~repro.core.css` — stable
-   radix-sort partition by column, concatenated symbol strings, and CSS
-   index generation, in all three tagging modes (§3.3, §4.1);
+3. :mod:`~repro.core.tagging` — delimiter bitmap indexes and
+   per-segment record/column tags (§3.2); the paper's per-chunk rel/abs
+   offset scans (:mod:`~repro.core.offsets`) survive as the chunked
+   tagger, a test oracle;
+4. :mod:`~repro.core.partition` / :mod:`~repro.core.css` — field-run
+   partition by column (the stable radix sort of §3.3 is its test
+   oracle), concatenated symbol strings, and CSS index generation, in
+   all three tagging modes (§3.3, §4.1);
 5. :mod:`~repro.core.conversion` — typed field-value generation with
    thread/block/device collaboration levels (§3.3);
 6. capabilities (§4.3): :mod:`~repro.core.validation`,
@@ -26,8 +28,7 @@ partition -> convert``), scheduled by a pluggable executor from
 one-call facade over it and the library's main entry point.
 """
 
-from repro.core.options import ParseOptions, PartitionStrategy, \
-    TaggingMode, TaggingImpl
+from repro.core.options import ParseOptions, TaggingMode
 from repro.core.parser import ParPaRawParser, parse_bytes
 from repro.core.result import ParseResult
 from repro.core.stages import StagePipeline, default_pipeline
@@ -35,8 +36,6 @@ from repro.core.stages import StagePipeline, default_pipeline
 __all__ = [
     "ParseOptions",
     "TaggingMode",
-    "TaggingImpl",
-    "PartitionStrategy",
     "ParPaRawParser",
     "parse_bytes",
     "ParseResult",

@@ -2,9 +2,10 @@
 
 :class:`ParseOptions` gathers everything that shapes a parse: the dialect
 (or an explicit DFA), the output schema, the chunk size, the tagging mode
-(paper §4.1), capability switches (§4.3), and the implementation toggles
-the ablation benchmarks compare (chunked vs global tagging, radix vs
-field-run partitioning).
+(paper §4.1) and the capability switches (§4.3).  Every parse tags with
+:func:`~repro.core.tagging.tag_global` and partitions with
+:func:`~repro.core.partition.partition_field_runs`; the paper's chunked
+tagger and radix sort are test oracles, not options.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from repro.errors import ParseError, SchemaError
 from repro.kernels.strided import DEFAULT_TABLE_BUDGET, plan_nbytes, \
     resolve_stride
 
-__all__ = ["TaggingMode", "TaggingImpl", "ColumnCountPolicy",
-           "PartitionStrategy", "ParseOptions"]
+__all__ = ["TaggingMode", "ColumnCountPolicy", "ParseOptions"]
 
 
 class TaggingMode(Enum):
@@ -41,41 +41,6 @@ class TaggingMode(Enum):
     TAGGED = "tagged"
     INLINE = "inline"
     DELIMITED = "delimited"
-
-
-class TaggingImpl(Enum):
-    """Which implementation computes offsets and tags (ablation switch).
-
-    * ``GLOBAL`` — vectorised whole-input computation (production path).
-    * ``CHUNKED`` — paper-faithful per-chunk bitmap indexes, popcounts and
-      rel/abs offset scans (§3.2); slower, used for tests and ablations.
-    """
-
-    GLOBAL = "global"
-    CHUNKED = "chunked"
-
-
-class PartitionStrategy(Enum):
-    """How phase 3a materialises the per-column CSSs (paper §3.3).
-
-    * ``RADIX`` — the paper-faithful stable LSD radix sort over the
-      per-symbol column tags (histogram → prefix sum → stable
-      scatter, one pass per digit).  GPU-shaped; on the vectorised
-      executor each pass costs ``2**radix_bits`` array sweeps.
-    * ``FIELD_RUN`` — takes each delimiter segment's retained symbols as
-      one run keyed by the segment's column tag, stable-counting-sorts
-      the *runs* by column id (``num_fields ≪ n``) and materialises the
-      CSSs with one segment gather: ``O(n + num_fields)`` total.
-      Bit-identical to the radix sort, including the stable ``order``
-      permutation (derived on demand).
-
-    ``ParseOptions.partition_strategy = None`` (the default) selects
-    automatically: field-run with the production ``TaggingImpl.GLOBAL``
-    tagger, radix with the paper-faithful ``TaggingImpl.CHUNKED`` one.
-    """
-
-    RADIX = "radix"
-    FIELD_RUN = "field-run"
 
 
 class ColumnCountPolicy(Enum):
@@ -136,14 +101,8 @@ class ParseOptions:
         worker memory.  An explicitly requested stride whose table plan
         cannot fit the budget is rejected at construction time — raise
         the budget alongside the stride.
-    tagging_mode / tagging_impl:
-        See :class:`TaggingMode` / :class:`TaggingImpl`.
-    partition_strategy:
-        How phase 3a brings each column's symbols together
-        (:class:`PartitionStrategy`).  ``None`` (default) picks
-        field-run under global tagging and radix under chunked tagging
-        (:meth:`resolved_partition_strategy`); both produce
-        bit-identical partitions.
+    tagging_mode:
+        See :class:`TaggingMode`.
     inline_terminator:
         Terminator byte for ``TaggingMode.INLINE``.
     column_count_policy:
@@ -171,11 +130,11 @@ class ParseOptions:
     plan:
         ``"auto"`` lets the self-tuning planner (:mod:`repro.plan`)
         probe the input and override the performance knobs
-        (``chunk_size``, ``kernel_stride``, ``partition_strategy``)
-        with the configuration its calibrated cost model scores best.
-        An explicit ``kernel_stride`` or ``partition_strategy`` set
-        alongside ``plan="auto"`` pins that dimension and only the rest
-        are searched (the configured ``chunk_size`` stays a candidate).
+        (``chunk_size``, ``kernel_stride``) with the configuration its
+        calibrated cost model scores best.  An explicit
+        ``kernel_stride`` set alongside ``plan="auto"`` pins that
+        dimension and only chunk sizes are searched (the configured
+        ``chunk_size`` stays a candidate).
         ``None`` (default) parses with the options exactly as given.
     """
 
@@ -186,8 +145,6 @@ class ParseOptions:
     kernel_stride: int | None = None
     kernel_table_budget: int = DEFAULT_TABLE_BUDGET
     tagging_mode: TaggingMode = TaggingMode.TAGGED
-    tagging_impl: TaggingImpl = TaggingImpl.GLOBAL
-    partition_strategy: PartitionStrategy | None = None
     inline_terminator: int = DEFAULT_TERMINATOR
     column_count_policy: ColumnCountPolicy = ColumnCountPolicy.LENIENT
     strict: bool = False
@@ -207,17 +164,6 @@ class ParseOptions:
             raise ParseError("kernel_stride must be >= 1 (or None for auto)")
         if self.kernel_table_budget <= 0:
             raise ParseError("kernel_table_budget must be positive")
-        if self.partition_strategy is not None \
-                and not isinstance(self.partition_strategy,
-                                   PartitionStrategy):
-            # Accept the plain strings "radix" / "field-run" too.
-            try:
-                strategy = PartitionStrategy(self.partition_strategy)
-            except ValueError:
-                raise ParseError(
-                    "partition_strategy must be 'radix', 'field-run' or "
-                    "None (auto)") from None
-            object.__setattr__(self, "partition_strategy", strategy)
         if not 0 <= self.inline_terminator <= 0xFF:
             raise ParseError("inline_terminator must be one byte")
         if self.block_threshold <= 0 \
@@ -234,12 +180,6 @@ class ParseOptions:
                 f"plan must be None or 'auto', got {self.plan!r}")
         object.__setattr__(self, "_dfa_cache", None)
         object.__setattr__(self, "_stride_cache", None)
-        if self.partition_strategy is PartitionStrategy.FIELD_RUN \
-                and self.tagging_impl is TaggingImpl.CHUNKED:
-            raise ParseError(
-                "partition_strategy='field-run' pairs with "
-                "TaggingImpl.GLOBAL; the paper-faithful chunked tagger "
-                "runs with partition_strategy='radix' (or None for auto)")
         if self.kernel_stride is not None and self.kernel_stride > 1:
             automaton = self._sweep_dfa()
             need = plan_nbytes(automaton.num_groups, automaton.num_states,
@@ -276,16 +216,6 @@ class ParseOptions:
                                 self.kernel_table_budget)
         object.__setattr__(self, "_stride_cache", stride)
         return stride
-
-    def resolved_partition_strategy(self) -> PartitionStrategy:
-        """The partition strategy a parse with these options runs
-        (``None`` = field-run under global tagging, radix under
-        chunked)."""
-        if self.partition_strategy is not None:
-            return self.partition_strategy
-        return PartitionStrategy.FIELD_RUN \
-            if self.tagging_impl is TaggingImpl.GLOBAL \
-            else PartitionStrategy.RADIX
 
     def _sweep_dfa(self) -> Dfa:
         """The padded automaton the strided sweeps will run with.

@@ -2,7 +2,8 @@
 
 To convert fields without thread divergence and without load-balancing
 hazards, ParPaRaw first brings all symbols of each column together.  Two
-interchangeable strategies produce the same stable column partition:
+formulations produce the same stable column partition; the pipeline runs
+the second, and the first is its test oracle:
 
 **Stable LSD radix sort** (:func:`stable_radix_sort` /
 :func:`partition_by_column`) — the paper's GPU formulation.  A single
@@ -18,7 +19,7 @@ digit value, in input order, *are* its stable ranks), which stands in for
 the prefix-sum-based ranking a GPU implementation performs.
 
 **Field-run segment gather** (:func:`partition_field_runs`) — the
-vectorised-executor formulation.  Phase 2 hands over its tags per
+vectorised-executor formulation every parse runs.  Phase 2 hands over its tags per
 delimiter segment (they only change at delimiters), so instead of paying
 per-symbol sort work each segment's retained symbols form one run, the
 *runs* are stable-counting-sorted by column id (``num_fields ≪ n``), and
@@ -216,11 +217,6 @@ class PartitionResult:
                 kept.size)]
         return self._order
 
-    @property
-    def has_field_runs(self) -> bool:
-        """Whether per-field run geometry survived the partition."""
-        return self.field_bounds is not None
-
     def column_css(self, column: int) -> np.ndarray:
         # parlint: returns-borrowed -- zero-copy slice of the shared CSS
         """Column ``c``'s concatenated symbol string."""
@@ -239,9 +235,10 @@ class PartitionResult:
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Column ``c``'s ``(records, offsets, lengths)`` field geometry.
 
-        Offsets are relative to :meth:`column_css`.  Requires
-        :attr:`has_field_runs` (the field-run path); callers without
-        it re-derive the index from the record tags.
+        Offsets are relative to :meth:`column_css`.  Requires the
+        field geometry of :func:`partition_field_runs`; a radix-sort
+        partition has none (its index is the RLE of the record tags,
+        :func:`~repro.core.css.tagged_index`).
         """
         if self.field_bounds is None:
             raise ParseError("partition carries no field geometry")
@@ -263,7 +260,8 @@ class PartitionResult:
         ``(num_fields + 1,)`` int64 field-boundary buffer.  In the
         record-tagged mode the fields tile the column CSS exactly, so the
         pair *is* a valid Arrow string column over the retained fields —
-        no symbol is copied.  Requires :attr:`has_field_runs`.
+        no symbol is copied.  Requires :meth:`column_fields`' field
+        geometry.
         """
         values = self.column_css(column)
         _, starts, lengths = self.column_fields(column)

@@ -42,18 +42,10 @@ from repro.core.chunking import Chunking, chunk_groups_canonical
 from repro.core.context import chunk_start_states
 from repro.core.conversion import CollaborationStats, ConvertStats, \
     convert_column
-from repro.core.options import (
-    ColumnCountPolicy,
-    ParseOptions,
-    PartitionStrategy,
-    TaggingImpl,
-    TaggingMode,
-)
-from repro.core.partition import PartitionResult, partition_by_column, \
-    partition_field_runs
+from repro.core.options import ColumnCountPolicy, ParseOptions, TaggingMode
+from repro.core.partition import PartitionResult, partition_field_runs
 from repro.core.selection import prune_rows, row_mapping, selected_column_mask
-from repro.core.tagging import TagResult, segment_lengths, tag_chunked, \
-    tag_global
+from repro.core.tagging import TagResult, segment_lengths, tag_global
 from repro.core.tagging_modes import build_keep_mask, column_indexes, \
     prepare_css
 from repro.core.typeinfer import infer_column_type
@@ -405,19 +397,9 @@ class TagStage(Stage):
         final_state = int(payload.canon.state_rep[final_state])
         if ctx.metrics.enabled:
             ctx.metrics.gauge("stage.tag.stride", payload.plan.k)
-        tags = self.tag(ctx.options, emissions, final_state)
+        tags = tag_global(emissions, final_state)
         return TaggedInput(raw=payload.raw, input_bytes=payload.input_bytes,
                            tags=tags, invalid_position=invalid_position)
-
-    @staticmethod
-    def tag(options: ParseOptions, emissions: np.ndarray,
-            final_state: int) -> TagResult:
-        """Segment tags of a whole emission stream, by ``tagging_impl``."""
-        if options.tagging_impl is TaggingImpl.CHUNKED:
-            return tag_chunked(emissions, final_state,
-                               Chunking.of(emissions.size,
-                                           options.chunk_size))
-        return tag_global(emissions, final_state)
 
 
 class ValidateStage(Stage):
@@ -600,11 +582,11 @@ class ValidateStage(Stage):
 class PartitionStage(Stage):
     """Phase 3a: stable column partition + CSS post-processing (§3.3).
 
-    Runs :meth:`ParseOptions.resolved_partition_strategy`: field-run
-    under the production GLOBAL tagger and the GPU-faithful radix sort
-    under the paper-faithful CHUNKED one, unless set explicitly.
-    Both strategies produce bit-identical :class:`PartitionResult` values,
-    so everything downstream is untouched by the choice.
+    Partitions the delimiter segments as field runs
+    (:func:`~repro.core.partition.partition_field_runs`), bit-identical
+    to the paper's stable radix sort over the same tags expanded per
+    symbol (:func:`~repro.core.partition.partition_by_column`, the test
+    oracle).
     """
 
     name = "partition"
@@ -614,36 +596,18 @@ class PartitionStage(Stage):
 
     def run(self, ctx, payload: ValidatedInput) -> PartitionedInput:
         options = ctx.options
-        if options.resolved_partition_strategy() \
-                is PartitionStrategy.FIELD_RUN:
-            part = partition_field_runs(payload.data_ext, payload.keep,
-                                        payload.delim_positions,
-                                        payload.segment_columns,
-                                        payload.segment_records,
-                                        payload.num_columns)
-        else:
-            # The radix sort keys every symbol: expand the segment tags.
-            lengths = segment_lengths(payload.delim_positions,
-                                      payload.data_ext.size)
-            part = partition_by_column(
-                payload.data_ext, payload.keep,
-                np.repeat(payload.segment_columns, lengths),
-                np.repeat(payload.segment_records, lengths),
-                payload.num_columns)
+        part = partition_field_runs(payload.data_ext, payload.keep,
+                                    payload.delim_positions,
+                                    payload.segment_columns,
+                                    payload.segment_records,
+                                    payload.num_columns)
         css, aux_delims = prepare_css(options.tagging_mode, part,
                                       payload.delim_mask, options)
         return PartitionedInput(**payload.__dict__, part=part, css=css,
                                 aux_delims=aux_delims)
 
     def record_metrics(self, metrics, payload: PartitionedInput) -> None:
-        # 1.0 = field-run, 0.0 = radix (num_field_runs is the field-run
-        # strategy's diagnostic by-product; the radix path never counts
-        # runs).
-        field_run = payload.part.num_field_runs is not None
-        metrics.gauge("stage.partition.strategy",
-                      1.0 if field_run else 0.0)
-        if field_run:
-            metrics.gauge("partition.fields", payload.part.num_field_runs)
+        metrics.gauge("partition.fields", payload.part.num_field_runs)
 
 
 class ConvertStage(Stage):

@@ -11,18 +11,18 @@ Those tags only change at delimiters, so they are carried once per
 next — rather than once per symbol: ``O(num_fields)`` memory, expanded
 per symbol only on demand (:attr:`TagResult.record_ids`).
 
-Two interchangeable implementations are provided (selected by
-:class:`~repro.core.options.TaggingImpl`):
+Two implementations produce bit-identical :class:`TagResult` values
+(property tested):
 
-* ``GLOBAL`` — computes the segment tags from the delimiter positions with
-  two small prefix sums.  This is the production path.
-* ``CHUNKED`` — the paper's formulation: per-chunk counts and rel/abs
-  offsets, prefix scans across chunks (:mod:`repro.core.offsets`), then a
-  per-chunk tagging sweep seeded with the scanned offsets, sampled at the
-  segment starts.  Structurally identical to the GPU kernels; used by
-  tests and ablations.
-
-Both produce bit-identical :class:`TagResult` values (property tested).
+* :func:`tag_global` — computes the segment tags from the delimiter
+  positions with two small prefix sums.  Every parse runs it, on both
+  executors.
+* :func:`tag_chunked` — the paper's formulation: per-chunk counts and
+  rel/abs offsets, prefix scans across chunks (:mod:`repro.core.offsets`),
+  then a per-chunk tagging sweep seeded with the scanned offsets, sampled
+  at the segment starts.  Structurally identical to the GPU kernels; the
+  test oracle for :func:`tag_global` and the ablation benchmark's
+  comparison point.
 """
 
 from __future__ import annotations

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.css import ColumnIndex, delimited_index, inline_index, \
-    tagged_index
+from repro.core.css import ColumnIndex, delimited_index, inline_index
 from repro.core.options import ParseOptions, TaggingMode
 from repro.core.partition import PartitionResult
 from repro.errors import ParseError
@@ -79,26 +78,23 @@ def column_indexes(mode: TaggingMode, part: PartitionResult,
                    options: ParseOptions) -> list[ColumnIndex]:
     """Per-column CSS field indexes for the configured mode.
 
-    Record-tagged fast path: when the partition carries per-field run
-    geometry (the field-run strategy), every sorted run is one field, so
-    the index is read straight off the partition — bit-identical to the
-    per-symbol RLE of :func:`tagged_index`, without touching the CSS
+    Record-tagged: every sorted field run of the partition is one field,
+    so the index is read straight off its field geometry
+    (:meth:`~repro.core.partition.PartitionResult.column_fields`) —
+    bit-identical to the per-symbol RLE of
+    :func:`~repro.core.css.tagged_index`, without touching the CSS
     symbols again.
     """
-    if mode is TaggingMode.TAGGED and part.has_field_runs:
-        indexes = []
-        for column in range(part.num_columns):
+    indexes = []
+    for column in range(part.num_columns):
+        if mode is TaggingMode.TAGGED:
             records, offsets, lengths = part.column_fields(column)
             indexes.append(ColumnIndex(records=records, offsets=offsets,
                                        lengths=lengths))
-        return indexes
-    indexes = []
-    for column in range(part.num_columns):
+            continue
         lo = int(part.column_offsets[column])
         hi = int(part.column_offsets[column + 1])
-        if mode is TaggingMode.TAGGED:
-            indexes.append(tagged_index(part.record_tags[lo:hi]))
-        elif mode is TaggingMode.INLINE:
+        if mode is TaggingMode.INLINE:
             indexes.append(inline_index(css[lo:hi],
                                         options.inline_terminator))
         else:

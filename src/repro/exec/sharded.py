@@ -22,9 +22,10 @@ phases across a ``ProcessPoolExecutor``:
 3. **tags** (timer step ``tag``) — every worker re-simulates its shard
    with the now-known start states, returning only its emissions, final
    state and first invalid position (one byte per shard byte); the main
-   process concatenates the emission streams and tags them with the very
-   tagger the serial tag stage uses.  Tags are per delimiter segment
-   (``O(num_fields)``), so that pass is a few whole-input bitmap sweeps.
+   process concatenates the emission streams and tags them with
+   :func:`~repro.core.tagging.tag_global`, the serial tag stage's
+   tagger.  Tags are per delimiter segment (``O(num_fields)``), so
+   that pass is a few whole-input bitmap sweeps.
 
 Because a shard entering mid-record or mid-quote is resolved exactly like
 a chunk entering mid-record or mid-quote, shard boundaries are arbitrary
@@ -63,8 +64,8 @@ import numpy as np
 
 from repro.columnar.guard import protect
 from repro.core.chunking import chunk_groups_canonical
-from repro.core.stages import PipelineContext, RawInput, TagStage, \
-    TaggedInput
+from repro.core.stages import PipelineContext, RawInput, TaggedInput
+from repro.core.tagging import tag_global
 from repro.dfa.automaton import Dfa
 from repro.dfa.minimize import canonicalize
 from repro.errors import ParseError
@@ -407,7 +408,7 @@ class ShardedExecutor(Executor):
                         repeat(observe)))
                     emissions, final_state, invalid_position = \
                         self._merge_emissions(bounds, shard_tags)
-                    tags = TagStage.tag(options, emissions, final_state)
+                    tags = tag_global(emissions, final_state)
             if metrics.enabled:
                 metrics.observe("stage.tag.seconds",
                                 time.perf_counter() - phase_start)

@@ -14,9 +14,9 @@ Two granularities, keyed by workload fingerprint
 * a *workload-wide* scale per step — what :meth:`Planner.estimate_cost`
   uses to price requests it has never run at the requested shape;
 * a *per-configuration* scale per step (fingerprint + chunk bucket +
-  stride + partition strategy) — what candidate scoring prefers, so a
-  configuration the planner has actually tried is ranked by what it
-  measured, not what the model guessed.
+  stride) — what candidate scoring prefers, so a configuration the
+  planner has actually tried is ranked by what it measured, not what
+  the model guessed.
 
 The EWMA is monotone: under a constant observed workload each ratio —
 and therefore the calibrated estimate — moves toward the measurement on
@@ -45,10 +45,9 @@ def chunk_bucket(chunk_size: int) -> int:
     return bucket
 
 
-def config_key(fingerprint: str, chunk_size: int, stride: int,
-               strategy: str) -> str:
+def config_key(fingerprint: str, chunk_size: int, stride: int) -> str:
     """The per-configuration calibration key."""
-    return f"{fingerprint}|c{chunk_bucket(chunk_size)}k{stride}p{strategy}"
+    return f"{fingerprint}|c{chunk_bucket(chunk_size)}k{stride}"
 
 
 class CalibrationStore:

@@ -2,9 +2,8 @@
 
 Static half: :meth:`Planner.plan` probes the input
 (:func:`~repro.plan.stats.probe_input`), enumerates candidates over the
-knob space — ``chunk_size`` × ``kernel_stride`` × ``partition_strategy``
-(plus a ``workers`` recommendation and the cost model's ``radix_bits``)
-— filters strides by table-budget feasibility
+knob space — ``chunk_size`` × ``kernel_stride`` (plus a ``workers``
+recommendation) — filters strides by table-budget feasibility
 (:func:`~repro.kernels.strided.plan_nbytes` against
 ``kernel_table_budget``, the same arithmetic as
 :func:`~repro.kernels.strided.pick_stride`), scores the survivors with
@@ -29,11 +28,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.core.options import (
-    ParseOptions,
-    PartitionStrategy,
-    TaggingImpl,
-)
+from repro.core.options import ParseOptions
 from repro.gpusim.cost_model import PipelineCostModel, StepCosts
 from repro.kernels.strided import SUPPORTED_STRIDES, plan_nbytes
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -59,9 +54,9 @@ CHUNK_CANDIDATES = (16, 31, 64, 128)
 STRIDE_SPEEDUP_EXPONENT = 0.5
 
 #: Modelled partition-cost factor of the ``O(n + fields)`` field-run
-#: strategy relative to the radix sort.  Hand-set: the end-to-end
-#: benchmark (``BENCHMARK.json``) times only the field-run path, as its
-#: ``stage.partition.ms`` layer.
+#: partition every parse runs, relative to the radix sort the cost model
+#: prices.  Hand-set: the end-to-end benchmark (``BENCHMARK.json``)
+#: times the field-run path as its ``stage.partition.ms`` layer.
 FIELD_RUN_PARTITION_FACTOR = 0.35
 
 #: Inputs below this run serial: a process pool's spawn/ship overhead
@@ -78,7 +73,6 @@ class PlanCandidate:
 
     chunk_size: int
     stride: int
-    strategy: str
     feasible: bool
     #: Calibrated modelled seconds; ``None`` for infeasible candidates.
     modelled_seconds: float | None
@@ -92,7 +86,6 @@ class PlanCandidate:
         return {
             "chunk_size": self.chunk_size,
             "kernel_stride": self.stride,
-            "partition_strategy": self.strategy,
             "feasible": self.feasible,
             "modelled_seconds": self.modelled_seconds,
             "calibrated": self.calibrated,
@@ -127,15 +120,15 @@ class PlanDecision:
         lines = [
             f"fingerprint {self.fingerprint}: chose chunk_size="
             f"{w.chunk_size} kernel_stride={w.stride} "
-            f"partition_strategy={w.strategy} workers={self.workers} "
+            f"workers={self.workers} "
             f"({self.modelled_seconds * 1e3:.2f} ms modelled"
             f"{', calibrated' if self.calibrated else ''})"]
         for c in self.candidates:
             if c.chosen:
                 continue
             lines.append(
-                f"  rejected chunk={c.chunk_size} k={c.stride} "
-                f"{c.strategy}: {c.reason}")
+                f"  rejected chunk={c.chunk_size} k={c.stride}: "
+                f"{c.reason}")
         lines.extend(f"  note: {note}" for note in self.notes)
         return lines
 
@@ -145,8 +138,6 @@ class PlanDecision:
             "chosen": {
                 "chunk_size": self.chosen.chunk_size,
                 "kernel_stride": self.chosen.kernel_stride,
-                "partition_strategy":
-                    self.chosen.resolved_partition_strategy().value,
                 "workers": self.workers,
             },
             "modelled_seconds": self.modelled_seconds,
@@ -183,27 +174,24 @@ class Planner:
     # -- scoring -----------------------------------------------------------
 
     def _modelled(self, stats: InputStats, input_bytes: int,
-                  chunk_size: int, stride: int,
-                  strategy: str) -> StepCosts:
+                  chunk_size: int, stride: int) -> StepCosts:
         """Model prediction for one configuration (before calibration)."""
         base = self.model.step_costs(
             stats.stats_factory()(max(1, input_bytes),
                                   chunk_size=chunk_size))
         sweep = float(stride) ** -STRIDE_SPEEDUP_EXPONENT
-        partition = FIELD_RUN_PARTITION_FACTOR \
-            if strategy == PartitionStrategy.FIELD_RUN.value else 1.0
         return StepCosts(parse=base.parse * sweep, scan=base.scan,
                          tag=base.tag * sweep,
-                         partition=base.partition * partition,
+                         partition=base.partition
+                         * FIELD_RUN_PARTITION_FACTOR,
                          convert=base.convert)
 
     def _score(self, stats: InputStats, fingerprint: str,
-               input_bytes: int, chunk_size: int, stride: int,
-               strategy: str) -> tuple[float, bool]:
+               input_bytes: int, chunk_size: int,
+               stride: int) -> tuple[float, bool]:
         """(calibrated seconds, used-per-config-evidence) for one cell."""
-        costs = self._modelled(stats, input_bytes, chunk_size, stride,
-                               strategy)
-        key = config_key(fingerprint, chunk_size, stride, strategy)
+        costs = self._modelled(stats, input_bytes, chunk_size, stride)
+        key = config_key(fingerprint, chunk_size, stride)
         calibrated = self.store.observed(key)
         return self.store.apply(costs, key, fingerprint).total, calibrated
 
@@ -243,7 +231,6 @@ class Planner:
             with tracer.span("plan.decide", fingerprint=fingerprint,
                              chunk_size=w.chunk_size,
                              kernel_stride=w.stride,
-                             partition_strategy=w.strategy,
                              workers=decision.workers,
                              calibrated=decision.calibrated,
                              modelled_ms=round(
@@ -255,8 +242,7 @@ class Planner:
             if tracer.enabled:
                 with tracer.span("plan.replan", fingerprint=fingerprint,
                                  chunk_size=w.chunk_size,
-                                 kernel_stride=w.stride,
-                                 partition_strategy=w.strategy):
+                                 kernel_stride=w.stride):
                     pass
         return decision
 
@@ -286,17 +272,6 @@ class Planner:
                                     f"table budget {budget} B"))
             strides.append((1, True, ""))
 
-        # Partition-strategy candidates.
-        if base.partition_strategy is not None:
-            strategies = [base.partition_strategy.value]
-        elif base.tagging_impl is TaggingImpl.CHUNKED:
-            strategies = [PartitionStrategy.RADIX.value]
-            notes.append("chunked tagging has no run-structured tags; "
-                         "field-run not considered")
-        else:
-            strategies = [PartitionStrategy.FIELD_RUN.value,
-                          PartitionStrategy.RADIX.value]
-
         # Chunk-size candidates: the configured size, the ladder, and
         # the cost model's own suggestion (suggest_chunk_size wired in).
         suggested = self.model.suggest_chunk_size(
@@ -306,21 +281,16 @@ class Planner:
         scored: list[dict] = []
         for chunk in chunks:
             for stride, feasible, why in strides:
-                for strategy in strategies:
-                    if not feasible:
-                        scored.append(dict(
-                            chunk_size=chunk, stride=stride,
-                            strategy=strategy, feasible=False,
-                            seconds=None, calibrated=False, reason=why))
-                        continue
-                    seconds, calibrated = self._score(
-                        stats, fingerprint, input_bytes, chunk, stride,
-                        strategy)
+                if not feasible:
                     scored.append(dict(
-                        chunk_size=chunk, stride=stride,
-                        strategy=strategy, feasible=True,
-                        seconds=seconds, calibrated=calibrated,
-                        reason=why))
+                        chunk_size=chunk, stride=stride, feasible=False,
+                        seconds=None, calibrated=False, reason=why))
+                    continue
+                seconds, calibrated = self._score(
+                    stats, fingerprint, input_bytes, chunk, stride)
+                scored.append(dict(
+                    chunk_size=chunk, stride=stride, feasible=True,
+                    seconds=seconds, calibrated=calibrated, reason=why))
         best = min((c for c in scored if c["feasible"]),
                    key=lambda c: c["seconds"])
 
@@ -337,14 +307,13 @@ class Planner:
                           + (" (calibrated)" if c["calibrated"] else ""))
             candidates.append(PlanCandidate(
                 chunk_size=c["chunk_size"], stride=c["stride"],
-                strategy=c["strategy"], feasible=c["feasible"],
+                feasible=c["feasible"],
                 modelled_seconds=c["seconds"],
                 calibrated=c["calibrated"], chosen=chosen, reason=reason))
 
         chosen_options = base.with_(
             plan=None, chunk_size=best["chunk_size"],
-            kernel_stride=best["stride"],
-            partition_strategy=PartitionStrategy(best["strategy"]))
+            kernel_stride=best["stride"])
 
         workers = 1
         if stats.input_bytes >= WORKERS_INPUT_THRESHOLD:
@@ -401,7 +370,6 @@ class Planner:
             return fingerprint
 
         stride = options.resolved_stride()
-        strategy = options.resolved_partition_strategy().value
         stats = InputStats(
             input_bytes=result.input_bytes,
             sample_bytes=result.input_bytes, dialect=options.dialect,
@@ -414,9 +382,8 @@ class Planner:
             num_states=ws.num_states,
             record_tag_bytes=ws.record_tag_bytes)
         modelled = self._modelled(stats, result.input_bytes,
-                                  options.chunk_size, stride, strategy)
-        key = config_key(fingerprint, options.chunk_size, stride,
-                         strategy)
+                                  options.chunk_size, stride)
+        key = config_key(fingerprint, options.chunk_size, stride)
         self.store.observe(key, measured, modelled)
         self.store.observe(fingerprint, measured, modelled)
         self._shapes.setdefault(fingerprint, stats)
@@ -434,12 +401,12 @@ class Planner:
         Each round plans, then runs the best-scored candidate whose
         configuration has no observed evidence yet (one real parse) and
         feeds the measurement back.  Chunk size is explored
-        breadth-first: calibration extrapolates stride and partition
-        scalings across chunk buckets via the workload-wide fallback,
-        but each chunk bucket's cache behaviour must be measured — so
-        every unmeasured bucket gets its best-modelled configuration
-        timed before any round is spent on a stride/strategy variant of
-        a bucket that already has evidence.  Stops early once the top
+        breadth-first: calibration extrapolates stride scalings across
+        chunk buckets via the workload-wide fallback, but each chunk
+        bucket's cache behaviour must be measured — so every unmeasured
+        bucket gets its best-modelled configuration timed before any
+        round is spent on a stride variant of a bucket that already has
+        evidence.  Stops early once the top
         candidates are all calibrated.  Returns the final,
         evidence-backed decision.
         """
@@ -460,8 +427,7 @@ class Planner:
                          key=lambda c: c.modelled_seconds)
             trial = base.with_(
                 plan=None, chunk_size=target.chunk_size,
-                kernel_stride=target.stride,
-                partition_strategy=PartitionStrategy(target.strategy))
+                kernel_stride=target.stride)
             result = ParPaRawParser(trial, executor=executor).parse(data)
             self.observe(result)
             decision = self.plan(data, base)
@@ -492,10 +458,9 @@ class Planner:
         fp = fingerprint if fingerprint is not None \
             else stats.fingerprint()
         stride = base.resolved_stride()
-        strategy = base.resolved_partition_strategy().value
         costs = self._modelled(stats, max(1, int(input_bytes)),
-                               base.chunk_size, stride, strategy)
-        key = config_key(fp, base.chunk_size, stride, strategy)
+                               base.chunk_size, stride)
+        key = config_key(fp, base.chunk_size, stride)
         estimate = self.store.apply(costs, key, fp).total
         if self.metrics.enabled:
             self.metrics.observe("plan.estimate.seconds", estimate)

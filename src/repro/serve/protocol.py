@@ -18,17 +18,17 @@ framing of :mod:`repro.columnar.serialize` (``write_feather``), a
 
 Parse options travel as a JSON dict mirroring the CLI surface
 (:func:`options_to_wire` / :func:`options_from_wire`): dialect fields,
-chunk size, stride, tagging mode, partition strategy, column policy and
-an optional schema — either ``{"columns": N}`` (N string columns) or
+chunk size, stride, tagging mode, column policy and an optional
+schema — either ``{"columns": N}`` (N string columns) or
 ``{"fields": [[name, dtype], ...]}``.  Options the dict cannot carry —
 a custom DFA object, or ``strict``, ``skip_rows``, ``skip_records``,
 ``select_columns``, ``null_literals``, ``inline_terminator`` or a schema
 field's ``nullable``/``default``/``decimal_scale`` set away from its
 default — are refused by :func:`options_to_wire` rather than silently
 dropped; use the in-process client for those.  The remaining
-implementation knobs (tagging implementation, collaboration
-thresholds, ``plan``) do not travel either: they change
-how a parse runs, never its output.
+implementation knobs (collaboration thresholds, ``plan``) do not travel
+either: they change how a parse runs, never its output.  Keys of
+retired options that an older peer still sends are ignored.
 
 Readers enforce limits before allocating: a header over
 ``MAX_HEADER_BYTES`` or a body over the reader's ``max_body`` raises
@@ -43,7 +43,7 @@ import struct
 
 from repro.columnar.schema import DataType, Field, Schema
 from repro.core.options import ColumnCountPolicy, ParseOptions, \
-    PartitionStrategy, TaggingMode
+    TaggingMode
 from repro.dfa.dialects import Dialect
 from repro.errors import ProtocolError, ServeError
 from repro.kernels.strided import DEFAULT_TABLE_BUDGET
@@ -209,8 +209,6 @@ def options_to_wire(options: ParseOptions) -> dict:
         "kernel_stride": options.kernel_stride,
         "kernel_table_budget": options.kernel_table_budget,
         "tagging_mode": options.tagging_mode.value,
-        "partition_strategy": None if options.partition_strategy is None
-        else options.partition_strategy.value,
         "column_count_policy": options.column_count_policy.value,
         "infer_types": options.infer_types,
         "schema": _schema_to_wire(options.schema),
@@ -218,7 +216,11 @@ def options_to_wire(options: ParseOptions) -> dict:
 
 
 def options_from_wire(spec: dict | None) -> ParseOptions | None:
-    """Decode a wire options dict (``None`` passes through)."""
+    """Decode a wire options dict (``None`` passes through).
+
+    Unknown keys are ignored, so a spec from an older peer still decodes:
+    its ``minimize_dfa`` and ``partition_strategy`` keys have no effect.
+    """
     if spec is None:
         return None
     try:
@@ -231,7 +233,6 @@ def options_from_wire(spec: dict | None) -> ParseOptions | None:
             strip_carriage_return=bool(
                 spec.get("strip_carriage_return", True)),
         )
-        strategy = spec.get("partition_strategy")
         return ParseOptions(
             dialect=dialect,
             schema=_schema_from_wire(spec.get("schema")),
@@ -241,8 +242,6 @@ def options_from_wire(spec: dict | None) -> ParseOptions | None:
             kernel_table_budget=int(
                 spec.get("kernel_table_budget", DEFAULT_TABLE_BUDGET)),
             tagging_mode=TaggingMode(spec.get("tagging_mode", "tagged")),
-            partition_strategy=None if strategy is None
-            else PartitionStrategy(strategy),
             column_count_policy=ColumnCountPolicy(
                 spec.get("column_count_policy", "lenient")),
             infer_types=bool(spec.get("infer_types", False)),

@@ -12,7 +12,6 @@ from repro import (
     ParseError,
     ParseOptions,
     Schema,
-    TaggingImpl,
     TaggingMode,
     parse_bytes,
 )
@@ -92,13 +91,6 @@ class TestChunkAndImplEquivalence:
     def test_chunk_size_invariance(self, paper_example, chunk_size):
         baseline = parse_bytes(paper_example).table.to_pylist()
         result = parse_bytes(paper_example, chunk_size=chunk_size)
-        assert result.table.to_pylist() == baseline
-
-    @pytest.mark.parametrize("impl", list(TaggingImpl))
-    def test_tagging_impls_agree(self, paper_example, impl):
-        baseline = parse_bytes(paper_example).table.to_pylist()
-        result = parse_bytes(paper_example, tagging_impl=impl,
-                             chunk_size=5)
         assert result.table.to_pylist() == baseline
 
     @pytest.mark.parametrize("mode", list(TaggingMode))

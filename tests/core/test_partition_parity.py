@@ -1,12 +1,14 @@
-"""Strategy parity: field-run partitioning is bit-identical to radix.
+"""Pipeline partition parity against the stable radix-sort oracle.
 
-The field-run strategy's acceptance bar: for every dialect, tagging
-mode, input and executor schedule, ``partition_field_runs`` over the
-tagger's per-segment tags produces exactly the ``PartitionResult`` the
-stable radix sort produces over the same tags expanded per symbol — same
-``css``, ``record_tags``, ``column_offsets`` and stable ``order``
-permutation, the last two derived on demand (``num_field_runs`` is
-diagnostic metadata and excluded).
+The partition stage's acceptance bar: for every dialect, tagging mode,
+input and executor schedule, the pipeline's partition (field runs over
+the tagger's per-segment tags) is exactly the ``PartitionResult`` that
+:func:`~repro.core.partition.partition_by_column` — the paper's stable
+radix sort, kept as the oracle — produces over the validate payload's
+segment tags expanded per symbol: same ``css``, ``record_tags``,
+``column_offsets`` and stable ``order`` permutation, the last two
+derived on demand on the pipeline side (``num_field_runs`` is diagnostic
+metadata and excluded).
 """
 
 import numpy as np
@@ -14,15 +16,16 @@ import pytest
 
 from repro import (
     Dialect,
-    ParPaRawParser,
     ParseOptions,
-    PartitionStrategy,
     SerialExecutor,
     ShardedExecutor,
 )
-from repro.core.options import TaggingImpl, TaggingMode
+from repro.core.options import TaggingMode
+from repro.core.partition import partition_by_column
 from repro.core.stages import PipelineContext, RawInput, \
     default_pipeline
+from repro.core.tagging import segment_lengths
+from repro.core.tagging_modes import prepare_css
 from repro.dfa import dialect_dfa
 from repro.errors import ParseError
 from repro.utils.timing import StepTimer
@@ -33,18 +36,38 @@ from tests.kernels.test_parity import DIALECTS
 MODES = [TaggingMode.TAGGED, TaggingMode.INLINE, TaggingMode.DELIMITED]
 
 
-def partition_result(data: bytes, options: ParseOptions, executor=None):
-    """Run the pipeline up to (and including) the partition stage."""
+def run_until(data: bytes, options: ParseOptions, until: str,
+              executor=None):
+    """Run the pipeline up to (and including) stage ``until``."""
     executor = executor or SerialExecutor()
     ctx = PipelineContext(options=options,
                           dfa=dialect_dfa(options.dialect),
                           timer=StepTimer())
     raw = as_uint8(data)
     with executor:
-        payload = executor.execute(
-            ctx, RawInput(raw=raw, input_bytes=raw.size),
-            until="partition")
-    return payload.part
+        return executor.execute(
+            ctx, RawInput(raw=raw, input_bytes=raw.size), until=until)
+
+
+def partition_result(data: bytes, options: ParseOptions, executor=None):
+    """The pipeline's partition on ``executor`` (serial by default)."""
+    return run_until(data, options, "partition", executor).part
+
+
+def radix_oracle(data: bytes, options: ParseOptions):
+    """The radix sort over the serial validate payload's segment tags,
+    expanded per symbol, with the stage's CSS post-processing applied
+    (so the oracle rejects what the stage rejects)."""
+    payload = run_until(data, options, "validate")
+    lengths = segment_lengths(payload.delim_positions,
+                              payload.data_ext.size)
+    part = partition_by_column(
+        payload.data_ext, payload.keep,
+        np.repeat(payload.segment_columns, lengths),
+        np.repeat(payload.segment_records, lengths),
+        payload.num_columns)
+    prepare_css(options.tagging_mode, part, payload.delim_mask, options)
+    return part
 
 
 def assert_parts_identical(a, b):
@@ -62,74 +85,46 @@ def schedules():
 
 
 class TestStrategyParity:
+    """The pipeline's field-run partition vs the radix-sort oracle."""
+
     @pytest.mark.parametrize(
         "dialect", DIALECTS,
         ids=[f"dialect{i}" for i in range(len(DIALECTS))])
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
     def test_dialects_and_modes(self, dialect, mode):
         for data in TRICKY_INPUTS:
-            base = dict(dialect=dialect, tagging_mode=mode, chunk_size=8)
+            options = ParseOptions(dialect=dialect, tagging_mode=mode,
+                                   chunk_size=8)
             # Inline/delimited modes reject ragged column counts — the
-            # strategies must then agree on the *rejection* too.
+            # pipeline must then reject on every executor too.
             try:
-                radix = partition_result(
-                    data, ParseOptions(
-                        partition_strategy=PartitionStrategy.RADIX,
-                        **base))
+                radix = radix_oracle(data, options)
             except ParseError:
-                for strategy in (PartitionStrategy.FIELD_RUN, None):
-                    for executor in schedules():
-                        with pytest.raises(ParseError):
-                            partition_result(data, ParseOptions(
-                                partition_strategy=strategy, **base),
-                                executor)
-                continue
-            for strategy in (PartitionStrategy.FIELD_RUN, None):
                 for executor in schedules():
-                    part = partition_result(
-                        data, ParseOptions(partition_strategy=strategy,
-                                           **base), executor)
-                    assert_parts_identical(radix, part)
-
-    def test_chunked_tagging_impl(self):
-        """The paper-faithful chunked tagger pairs with the radix sort:
-        an explicit field-run request is rejected up front with an
-        actionable error, and auto resolves to radix with bit-identical
-        partitions."""
-        base = dict(dialect=Dialect(strip_carriage_return=False),
-                    tagging_impl=TaggingImpl.CHUNKED, chunk_size=8)
-        with pytest.raises(ParseError, match="field-run"):
-            ParseOptions(partition_strategy=PartitionStrategy.FIELD_RUN,
-                         **base)
-        for data in TRICKY_INPUTS:
-            radix = partition_result(
-                data, ParseOptions(
-                    partition_strategy=PartitionStrategy.RADIX, **base))
-            auto = partition_result(data, ParseOptions(**base))
-            assert_parts_identical(radix, auto)
+                    with pytest.raises(ParseError):
+                        partition_result(data, options, executor)
+                continue
+            for executor in schedules():
+                assert_parts_identical(
+                    radix, partition_result(data, options, executor))
 
     @pytest.mark.parametrize("workers,shard_bytes", [(2, 64), (3, 48)])
     def test_sharded_schedule(self, workers, shard_bytes):
-        """The sharded executor resolves the same strategy and produces
-        the same partition as the serial schedule."""
-        dialect = Dialect(strip_carriage_return=False)
+        """The sharded executor produces the serial schedule's partition,
+        and both match the oracle."""
+        options = ParseOptions(dialect=Dialect(strip_carriage_return=False),
+                               chunk_size=8)
         for data in TRICKY_INPUTS:
-            for strategy in (PartitionStrategy.RADIX,
-                             PartitionStrategy.FIELD_RUN, None):
-                options = ParseOptions(dialect=dialect, chunk_size=8,
-                                       partition_strategy=strategy)
-                serial = partition_result(data, options)
-                sharded = partition_result(
-                    data, options,
-                    executor=ShardedExecutor(workers=workers,
-                                             shard_bytes=shard_bytes,
-                                             use_processes=False))
-                assert_parts_identical(serial, sharded)
+            serial = partition_result(data, options)
+            sharded = partition_result(
+                data, options,
+                executor=ShardedExecutor(workers=workers,
+                                         shard_bytes=shard_bytes,
+                                         use_processes=False))
+            assert_parts_identical(serial, sharded)
+            assert_parts_identical(radix_oracle(data, options), sharded)
 
-    @pytest.mark.parametrize("strategy",
-                             [PartitionStrategy.FIELD_RUN,
-                              PartitionStrategy.RADIX])
-    def test_end_to_end_tables_match_sharded(self, strategy):
+    def test_end_to_end_tables_match_sharded(self):
         executor = ShardedExecutor(workers=2, shard_bytes=64,
                                    use_processes=False)
         with executor:
@@ -138,60 +133,27 @@ class TestStrategyParity:
                     data,
                     ParseOptions(
                         dialect=Dialect(strip_carriage_return=False),
-                        chunk_size=8, partition_strategy=strategy),
+                        chunk_size=8),
                     executor)
 
 
-class TestStrategyResolution:
-    def test_auto_field_run_for_global_tagging(self):
-        strategy = ParseOptions().resolved_partition_strategy()
-        assert strategy is PartitionStrategy.FIELD_RUN
-
-    def test_auto_radix_for_chunked_tagging(self):
-        options = ParseOptions(tagging_impl=TaggingImpl.CHUNKED)
-        assert options.resolved_partition_strategy() \
-            is PartitionStrategy.RADIX
-
-    def test_explicit_choice_wins(self):
-        options = ParseOptions(partition_strategy=PartitionStrategy.RADIX)
-        assert options.resolved_partition_strategy() \
-            is PartitionStrategy.RADIX
-
-    def test_options_coerce_strings(self):
-        assert ParseOptions(partition_strategy="field-run") \
-            .partition_strategy is PartitionStrategy.FIELD_RUN
-        assert ParseOptions(partition_strategy="radix") \
-            .partition_strategy is PartitionStrategy.RADIX
-
-    def test_options_reject_unknown_strategy(self):
-        with pytest.raises(ParseError):
-            ParseOptions(partition_strategy="quicksort")
-
-    def test_metrics_record_strategy(self):
+class TestPartitionMetrics:
+    def test_metrics_record_field_runs(self):
         from repro.core.parser import parse_bytes
         from repro.obs import MetricsRegistry
-        dialect = Dialect(strip_carriage_return=False)
         metrics = MetricsRegistry()
         parse_bytes(b"a,b\nc,d\n", metrics=metrics,
                     options=ParseOptions(
-                        dialect=dialect,
-                        partition_strategy=PartitionStrategy.FIELD_RUN))
-        assert metrics.gauges["stage.partition.strategy"] == 1.0
-        assert metrics.gauges["partition.fields"] > 0
-
-        metrics = MetricsRegistry()
-        parse_bytes(b"a,b\nc,d\n", metrics=metrics,
-                    options=ParseOptions(
-                        dialect=dialect,
-                        partition_strategy=PartitionStrategy.RADIX))
-        assert metrics.gauges["stage.partition.strategy"] == 0.0
-        assert "partition.fields" not in metrics.gauges
+                        dialect=Dialect(strip_carriage_return=False)))
+        assert metrics.gauges["partition.fields"] == 4
+        # One partition strategy: no gauge reports which one ran.
+        assert "stage.partition.strategy" not in metrics.gauges
 
 
 class TestOnDemandPermutation:
-    """The default path (global tagging, record-tagged mode, field-run)
-    never materialises the per-symbol ``order``/``record_tags``; asking
-    for them afterwards still returns the radix sort's values."""
+    """The default path (record-tagged mode) never materialises the
+    per-symbol ``order``/``record_tags``; asking for them afterwards
+    still returns the radix sort's values."""
 
     DATA = b'a,"b\nc",d\ne,f,g\nh,i\n"unclosed'
 
@@ -202,9 +164,7 @@ class TestOnDemandPermutation:
                                chunk_size=8)
         part = partition_result(self.DATA, options, executor)
         assert part._order is None and part._record_tags is None
-        radix = partition_result(self.DATA, options.with_(
-            partition_strategy=PartitionStrategy.RADIX))
-        assert_parts_identical(radix, part)
+        assert_parts_identical(radix_oracle(self.DATA, options), part)
 
     def test_default_payload_carries_no_symbol_ids(self):
         ctx = PipelineContext(options=ParseOptions(), dfa=dialect_dfa(

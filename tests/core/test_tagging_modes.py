@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.options import ParseOptions, TaggingMode
-from repro.core.partition import partition_by_column
+from repro.core.partition import partition_by_column, \
+    partition_field_runs
 from repro.core.tagging_modes import build_keep_mask, column_indexes, \
     prepare_css
 from repro.errors import ParseError
@@ -79,14 +80,27 @@ class TestPrepareCss:
 
 class TestColumnIndexes:
     def test_tagged_indexes_by_record_runs(self):
-        data = b"aabb"
-        part = make_partition(data, [True] * 4, [0, 0, 0, 0],
-                              [0, 0, 1, 1], 1)
+        # 'aa\nbb': two one-field records; the field runs are the index.
+        data = np.frombuffer(b"aa\nbb", dtype=np.uint8)
+        part = partition_field_runs(
+            data, data != ord("\n"), np.array([2], dtype=np.int64),
+            np.array([0, 0], dtype=np.int64),
+            np.array([0, 1], dtype=np.int64), 1)
         options = ParseOptions()
         indexes = column_indexes(TaggingMode.TAGGED, part, part.css,
-                                 np.zeros(4, dtype=bool), options)
+                                 None, options)
         assert indexes[0].records.tolist() == [0, 1]
+        assert indexes[0].offsets.tolist() == [0, 2]
         assert indexes[0].lengths.tolist() == [2, 2]
+
+    def test_tagged_mode_requires_field_geometry(self):
+        """A radix-sort partition carries no field runs; the pipeline
+        never hands one to the record-tagged index."""
+        part = make_partition(b"aabb", [True] * 4, [0, 0, 0, 0],
+                              [0, 0, 1, 1], 1)
+        with pytest.raises(ParseError, match="field geometry"):
+            column_indexes(TaggingMode.TAGGED, part, part.css, None,
+                           ParseOptions())
 
     def test_inline_indexes_by_terminators(self):
         data = b"ab\x1ec\x1e"

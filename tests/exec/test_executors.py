@@ -20,10 +20,12 @@ from repro import (
     ParseOptions,
     Schema,
     StreamingParser,
-    TaggingImpl,
     TaggingMode,
 )
 from repro.baselines import stdlib_csv_rows
+from repro.core.chunking import Chunking
+from repro.core.stages import PipelineContext, RawInput
+from repro.core.tagging import tag_chunked
 from repro.dfa.logformats import common_log_format_dfa, \
     extended_log_format_dfa
 from repro.exec import SerialExecutor, ShardedExecutor
@@ -37,7 +39,8 @@ from repro.workloads import (
     generate_yelp_like,
     skew_dataset,
 )
-from tests.conftest import TRICKY_INPUTS
+from repro.utils.timing import StepTimer
+from tests.conftest import TRICKY_INPUTS, as_uint8
 
 NO_CR = Dialect(strip_carriage_return=False)
 
@@ -103,13 +106,38 @@ class TestTrickyCorpus:
             assert result.num_records == 3
             assert not result.validation.end_accepted
 
-    @pytest.mark.parametrize("impl", list(TaggingImpl))
-    def test_both_tagging_impls(self, impl):
-        executor = sharded(3, 5)
+    def test_merged_tags_equal_chunked_oracle(self):
+        """The shards' emissions, merged and tagged in the parent, carry
+        the segment tags the paper's chunked tagger (per-chunk offsets +
+        cross-chunk scans, ``tag_chunked``) computes over the whole
+        emission stream — and that stream is the serial schedule's."""
+        options = ParseOptions(dialect=NO_CR, chunk_size=4)
+        ctx = PipelineContext(options=options, dfa=options.resolved_dfa(),
+                              timer=StepTimer())
         for data in TRICKY_INPUTS:
-            assert_results_match(
-                data, ParseOptions(dialect=NO_CR, chunk_size=4,
-                                   tagging_impl=impl), executor)
+            payload = RawInput(raw=as_uint8(data), input_bytes=len(data))
+            serial = SerialExecutor().execute(ctx, payload,
+                                              until="tag").tags
+            oracle = tag_chunked(serial.emissions, serial.final_state,
+                                 Chunking.of(len(data), options.chunk_size))
+            for workers, shard_bytes in SHARD_SHAPES:
+                with sharded(workers, shard_bytes) as executor:
+                    merged = executor.execute(ctx, payload,
+                                              until="tag").tags
+                np.testing.assert_array_equal(merged.emissions,
+                                              serial.emissions)
+                assert merged.final_state == oracle.final_state
+                np.testing.assert_array_equal(merged.delim_positions,
+                                              oracle.delim_positions)
+                np.testing.assert_array_equal(merged.segment_records,
+                                              oracle.segment_records)
+                np.testing.assert_array_equal(merged.segment_columns,
+                                              oracle.segment_columns)
+                np.testing.assert_array_equal(merged.data_mask,
+                                              oracle.data_mask)
+                assert merged.num_records == oracle.num_records
+                assert merged.has_trailing_record \
+                    == oracle.has_trailing_record
 
 
 class TestOptionsZoo:

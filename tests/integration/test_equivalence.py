@@ -1,9 +1,9 @@
 """The library's central invariant: ParPaRaw ≡ sequential reference.
 
-For any input, any chunk size, any tagging implementation — the massively
-parallel pipeline must produce exactly the output of the sequential FSM
-parser.  A third-party oracle (Python's ``csv`` module) cross-checks both
-on inputs where the semantics are comparable.
+For any input and any chunk size — the massively parallel pipeline must
+produce exactly the output of the sequential FSM parser.  A third-party
+oracle (Python's ``csv`` module) cross-checks both on inputs where the
+semantics are comparable.
 """
 
 import csv as csv_module
@@ -19,7 +19,6 @@ from repro import (
     ParPaRawParser,
     ParseOptions,
     Schema,
-    TaggingImpl,
 )
 from repro.baselines import SequentialParser, stdlib_csv_rows
 from repro.workloads import CsvGenerator, generate_clf, generate_elf
@@ -42,13 +41,6 @@ class TestTrickyCorpus:
         for data in TRICKY_INPUTS:
             assert_equivalent(data, ParseOptions(dialect=NO_CR,
                                                  chunk_size=chunk_size))
-
-    @pytest.mark.parametrize("impl", list(TaggingImpl))
-    def test_both_impls(self, impl):
-        for data in TRICKY_INPUTS:
-            assert_equivalent(data, ParseOptions(dialect=NO_CR,
-                                                 tagging_impl=impl,
-                                                 chunk_size=4))
 
     def test_reject_policy(self):
         for data in TRICKY_INPUTS:

@@ -53,7 +53,7 @@ class TestStore:
     def test_fallback_chain(self):
         store = CalibrationStore()
         store.observe("workload", MEASURED_A, MODELLED)
-        assert store.scale("workload|c32k4pradix", "parse",
+        assert store.scale("workload|c32k4", "parse",
                            "workload") == pytest.approx(4.0)
         assert store.scale("unknown", "parse") == 1.0
         assert store.observed("workload")
@@ -74,10 +74,10 @@ class TestStore:
         assert json.loads(json.dumps(snapshot)) == snapshot
 
     def test_config_key_buckets_chunks_by_power_of_two(self):
-        assert config_key("fp", 60, 4, "radix") \
-            == config_key("fp", 33, 4, "radix")
-        assert config_key("fp", 16, 4, "radix") \
-            != config_key("fp", 64, 4, "radix")
+        assert config_key("fp", 60, 4) == config_key("fp", 33, 4)
+        assert config_key("fp", 16, 4) != config_key("fp", 64, 4)
+        # Chunk bucket and stride only: there is no partition dimension.
+        assert config_key("fp", 64, 4) == "fp|c64k4"
 
 
 class TestMonotoneConvergence:
@@ -116,10 +116,8 @@ class TestMonotoneConvergence:
             # Model prediction for the exact config estimate_cost prices.
             stride = base.resolved_stride()
             modelled = planner._modelled(stats, len(data),
-                                         base.chunk_size, stride,
-                                         "field-run")
-            key = config_key(fingerprint, base.chunk_size, stride,
-                             "field-run")
+                                         base.chunk_size, stride)
+            key = config_key(fingerprint, base.chunk_size, stride)
             planner.store.observe(key, MEASURED_B, modelled)
             estimate = planner.estimate_cost(len(data), base,
                                              fingerprint=fingerprint)

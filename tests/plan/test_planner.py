@@ -11,19 +11,14 @@ workload factories.
 import numpy as np
 import pytest
 
-from repro import (
-    Dialect,
-    ParseOptions,
-    PartitionStrategy,
-    parse_bytes,
-)
-from repro.core.options import TaggingImpl, TaggingMode
+from repro import Dialect, ParseOptions, parse_bytes
 from repro.errors import ParseError
 from repro.gpusim.cost_model import PipelineCostModel, StepCosts, \
     WorkloadStats
 from repro.obs import MetricsRegistry, Tracer
 from repro.plan import InputStats, Planner, config_key, probe_input
-from repro.plan.planner import WORKERS_INPUT_THRESHOLD
+from repro.kernels.strided import SUPPORTED_STRIDES
+from repro.plan.planner import CHUNK_CANDIDATES, WORKERS_INPUT_THRESHOLD
 from repro.plan.stats import workload_fingerprint
 
 CSV = b"id,price,name\n1,2.50,ash\n2,3.75,birch\n3,1.25,cedar\n"
@@ -106,7 +101,6 @@ class TestDecision:
         chosen = decision.chosen
         assert chosen.plan is None
         assert chosen.kernel_stride is not None
-        assert chosen.partition_strategy is not None
         # Non-knob options survive planning untouched.
         assert chosen.infer_types
         assert chosen.dialect == base.dialect
@@ -117,17 +111,20 @@ class TestDecision:
         assert {c.stride for c in decision.candidates} == {2}
         assert decision.chosen.kernel_stride == 2
 
-    def test_pinned_strategy_collapses_the_dimension(self):
-        decision = Planner().plan(
-            make_data(),
-            ParseOptions(partition_strategy=PartitionStrategy.RADIX))
-        assert {c.strategy for c in decision.candidates} == {"radix"}
-
-    def test_chunked_tagging_never_plans_field_run(self):
-        decision = Planner().plan(
-            make_data(), ParseOptions(tagging_impl=TaggingImpl.CHUNKED))
-        assert all(c.strategy == "radix" for c in decision.candidates)
-        assert any("field-run not considered" in n for n in decision.notes)
+    def test_candidates_are_chunks_times_strides(self):
+        """Every parse partitions with field runs, so the knob space is
+        chunk size x stride, each pair scored (or ruled out) once."""
+        planner = Planner()
+        base = ParseOptions()
+        decision = planner.plan(make_data(), base)
+        suggested = planner.model.suggest_chunk_size(
+            decision.stats.stats_factory(), decision.stats.input_bytes)
+        chunks = {base.chunk_size, suggested, *CHUNK_CANDIDATES}
+        strides = {*SUPPORTED_STRIDES, 1}
+        assert len(decision.candidates) == len(chunks) * len(strides)
+        assert {(c.chunk_size, c.stride) for c in decision.candidates} \
+            == {(chunk, k) for chunk in chunks for k in strides}
+        assert "partition_strategy" not in decision.as_dict()["chosen"]
 
     def test_suggested_chunk_size_is_a_candidate(self):
         planner = Planner()
@@ -193,7 +190,7 @@ class TestAutoParse:
                      if c.feasible and not c.chosen)
         # Plant overwhelming evidence that one loser is much faster.
         key = config_key(first.fingerprint, loser.chunk_size,
-                         loser.stride, loser.strategy)
+                         loser.stride)
         planner.store.observe(
             key, {s: 1e-9 for s in ("parse", "scan", "tag", "partition",
                                     "convert")},
@@ -280,15 +277,6 @@ class TestOptionsValidation:
         message = str(err.value)
         assert "raise kernel_table_budget to at least" in message
         assert "kernel_stride=None" in message
-
-    def test_field_run_with_chunked_tagging_rejected(self):
-        with pytest.raises(ParseError, match="field-run"):
-            ParseOptions(partition_strategy=PartitionStrategy.FIELD_RUN,
-                         tagging_impl=TaggingImpl.CHUNKED)
-
-    def test_auto_strategy_with_chunked_tagging_accepted(self):
-        options = ParseOptions(tagging_impl=TaggingImpl.CHUNKED)
-        assert options.partition_strategy is None
 
     def test_plan_value_validated(self):
         with pytest.raises(ParseError, match="plan"):

@@ -5,7 +5,7 @@ import io
 import pytest
 
 from repro.core.options import ColumnCountPolicy, ParseOptions, \
-    PartitionStrategy, TaggingMode
+    TaggingMode
 from repro.columnar.schema import DataType, Field, Schema
 from repro.dfa import Dialect, rfc4180_dfa
 from repro.errors import ProtocolError, ServeError
@@ -111,7 +111,6 @@ class TestOptionsCodec:
             chunk_size=17,
             kernel_stride=2,
             tagging_mode=TaggingMode.DELIMITED,
-            partition_strategy=PartitionStrategy.FIELD_RUN,
             column_count_policy=ColumnCountPolicy.STRICT,
             infer_types=True,
             schema=Schema([Field(name="id", dtype=DataType.INT64),
@@ -122,7 +121,6 @@ class TestOptionsCodec:
         assert decoded.chunk_size == 17
         assert decoded.kernel_stride == 2
         assert decoded.tagging_mode == TaggingMode.DELIMITED
-        assert decoded.partition_strategy == PartitionStrategy.FIELD_RUN
         assert decoded.column_count_policy == ColumnCountPolicy.STRICT
         assert decoded.infer_types is True
         assert [(f.name, f.dtype) for f in decoded.schema] == \
@@ -171,6 +169,18 @@ class TestOptionsCodec:
         assert "minimize_dfa" not in spec
         for legacy in (True, False):
             decoded = options_from_wire({**spec, "minimize_dfa": legacy})
+            assert decoded == options_from_wire(spec)
+            assert decoded.chunk_size == 17
+
+    def test_legacy_partition_strategy_key_is_ignored(self):
+        """A spec from a peer that still sends ``partition_strategy``
+        decodes, whatever the value: every parse partitions with field
+        runs, so the key has no effect."""
+        spec = options_to_wire(ParseOptions(chunk_size=17))
+        assert "partition_strategy" not in spec
+        for legacy in ("radix", "field-run", None, "quicksort"):
+            decoded = options_from_wire({**spec,
+                                         "partition_strategy": legacy})
             assert decoded == options_from_wire(spec)
             assert decoded.chunk_size == 17
 
