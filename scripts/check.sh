@@ -58,10 +58,14 @@ python -m pytest tests/scan/test_numpy_scan.py tests/core/test_context.py \
 # field-run partition must be bit-identical to the stable radix sort
 # (css, record tags, offsets, order) across dialects, tagging modes and
 # executors, and the global tagger must match the paper's chunked one,
-# which survives only as this oracle.
+# which survives only as this oracle.  The partition alone and the
+# whole serial parse must stay within their per-input-byte peak bounds.
 python -m pytest tests/core/test_partition.py \
     tests/core/test_partition_parity.py \
-    "tests/core/test_tagging.py::TestChunkedEqualsGlobal" -q
+    "tests/core/test_tagging.py::TestChunkedEqualsGlobal" \
+    "tests/core/test_memory_bound.py::test_peak_bytes_per_input_byte" \
+    "tests/core/test_memory_bound.py::test_partition_peak_per_input_byte" \
+    -q
 # Columnar tier: zero-copy and copying convert assembly must both match
 # the sequential reference parser (dialects x tagging modes x executors;
 # NULL literals and string defaults reach the copy path), string columns

@@ -38,15 +38,16 @@ class ColumnIndex:
     Attributes
     ----------
     records:
-        ``(num_fields,)`` int64 — the record each field belongs to.  For
+        ``(num_fields,)`` — the record each field belongs to.  For
         the inline/delimited modes this is the field *ordinal*, which under
         their consistent-column-count precondition equals the record
         ordinal among retained records.
     offsets:
-        ``(num_fields,)`` int64 — field start within the column CSS.
+        ``(num_fields,)`` — field start within the column CSS.
     lengths:
-        ``(num_fields,)`` int64 — symbol count of the field (excluding any
-        terminator).
+        ``(num_fields,)`` — symbol count of the field (excluding any
+        terminator).  All three are in the partition's index dtype
+        (int32 whenever the input fits) in the record-tagged mode.
     """
 
     records: np.ndarray

@@ -18,16 +18,13 @@ digit value with a vectorised ``np.flatnonzero`` (the positions of a
 digit value, in input order, *are* its stable ranks), which stands in for
 the prefix-sum-based ranking a GPU implementation performs.
 
-**Field-run segment gather** (:func:`partition_field_runs`) — the
-vectorised-executor formulation every parse runs.  Phase 2 hands over its tags per
-delimiter segment (they only change at delimiters), so instead of paying
-per-symbol sort work each segment's retained symbols form one run, the
-*runs* are stable-counting-sorted by column id (``num_fields ≪ n``), and
-the CSS is materialised with a single segment gather from the compacted
-retained symbols: ``O(n + num_fields)`` total work, and no per-symbol
-tag array at all.  The result is bit-identical to the radix sort over
-the expanded tags — the record tags and stable ``order`` permutation are
-derived on demand — which the parity suite in
+**Field-run partition** (:func:`partition_field_runs`) — the
+vectorised-executor formulation every parse runs.  Phase 2 hands over its
+tags per delimiter segment, so the partition works in segment space: each
+segment's retained symbols form one run, the *runs* are radix-sorted by
+column id (``num_fields ≪ n`` keys), and the CSS is gathered block by
+block from the compacted retained symbols.  The result is bit-identical
+to the radix sort over the expanded tags, which the parity suite in
 ``tests/core/test_partition.py`` and the pipeline-level sweep in
 ``tests/core/test_partition_parity.py`` enforce.
 """
@@ -39,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.columnar.guard import protect
+from repro.core.tagging import segment_lengths
 from repro.errors import ParseError
 from repro.scan.numpy_scan import exclusive_sum
 
@@ -112,29 +110,6 @@ def stable_radix_sort(keys: np.ndarray, radix_bits: int = 2,
     return perm
 
 
-def _stable_counting_sort(keys: np.ndarray, num_values: int
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Stable permutation sorting small-int ``keys`` ascending.
-
-    One counting-sort pass: histogram → exclusive prefix sum → per-value
-    stable placement, iterating only over the key values actually
-    present.  ``O(P · R)`` with vectorised bodies, for ``R`` keys over
-    ``P`` distinct values — the field-run partition calls this on the
-    *runs* (``R = num_fields``, ``P ≤ num_columns``), never on symbols.
-
-    Returns ``(perm, key_starts)``: the stable permutation and, as a
-    by-product of the pass, the ``(num_values,)`` exclusive prefix sum of
-    the key histogram (first sorted position of each key value).
-    """
-    counts = np.bincount(keys, minlength=num_values)
-    offsets = exclusive_sum(counts)
-    perm = np.empty(keys.size, dtype=np.int64)
-    for value in np.flatnonzero(counts):  # parlint: disable=PPR401 -- one iteration per distinct column id, vectorised bodies over the runs
-        lo = int(offsets[value])
-        perm[lo:lo + int(counts[value])] = np.flatnonzero(keys == value)
-    return perm, offsets
-
-
 class PartitionResult:
     """The columnar symbol layout after partitioning.
 
@@ -163,12 +138,13 @@ class PartitionResult:
         them).  Excluded from the strategies' bit-identity contract,
         which covers ``css``/``record_tags``/``column_offsets``/``order``.
     field_records / field_starts / field_lengths / field_bounds:
-        Per-field geometry read directly off the segment gather, present
+        Per-field geometry read directly off the sorted runs, present
         only on the field-run path (where one run is exactly one
-        non-empty field).  Sorted-run ``j`` is a field starting at CSS
-        position ``field_starts[j]`` with ``field_lengths[j]`` symbols of
-        record ``field_records[j]``; column ``c``'s fields are the slice
-        ``[field_bounds[c], field_bounds[c + 1])``.  This is the fused
+        non-empty field), int32 whenever the input fits except the
+        int64 ``field_bounds``.  Sorted-run ``j`` is a field starting at
+        CSS position ``field_starts[j]`` with ``field_lengths[j]``
+        symbols of record ``field_records[j]``; column ``c``'s fields
+        are the slice ``[field_bounds[c], field_bounds[c + 1])``.  This is the fused
         partition→convert handoff: the convert stage reads each column's
         index from here instead of re-deriving it with a per-symbol RLE,
         and a column's CSS *is* already an Arrow string column
@@ -211,10 +187,9 @@ class PartitionResult:
     @property
     def order(self) -> np.ndarray | None:
         if self._order is None and self.keep is not None:
-            kept = np.flatnonzero(self.keep)
-            self._order = kept[_segment_gather(
-                self.field_sources, self.field_lengths, self.field_starts,
-                kept.size)]
+            self._order = _run_gather(
+                np.flatnonzero(self.keep), self.field_starts,
+                self.field_lengths, self.field_sources - self.field_starts)
         return self._order
 
     def column_css(self, column: int) -> np.ndarray:
@@ -314,27 +289,45 @@ def partition_by_column(data: np.ndarray, keep_mask: np.ndarray,
                            num_columns=num_columns, order=order)
 
 
+#: Output symbols per gather block of the field-run partition.
+GATHER_BLOCK = 1 << 16
+
+
 def _index_dtype(size: int) -> type:
     """The narrowest of int32/int64 indexing ``size`` positions."""
     return np.int32 if size < np.iinfo(np.int32).max else np.int64
 
 
-def _segment_gather(sources: np.ndarray, lengths: np.ndarray,
-                    starts: np.ndarray, total: int) -> np.ndarray:
-    """Source index of every output position of a run-wise copy.
+def _run_gather(source: np.ndarray, starts: np.ndarray,
+                lengths: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Run-wise permutation of ``source``, built one block at a time.
 
-    Output run ``j`` (``lengths[j] > 0`` symbols at ``starts[j]``, runs
-    tiling ``[0, total)``) reads ``sources[j]`` onwards.  Built as a
-    running sum of steps that are one inside a run and jump at run
-    starts, in int32 whenever the indexes fit — no per-symbol int64
-    array.
+    Output run ``j`` holds ``lengths[j] > 0`` elements from position
+    ``starts[j]`` (the runs tile the ``source.size`` outputs in order)
+    and reads ``source[p + delta[j]]`` at each of its positions ``p``.
+    The gather index exists for one :data:`GATHER_BLOCK` at a time.
     """
-    index = np.ones(total, dtype=_index_dtype(total))
-    if total:
-        index[0] = sources[0]
-        index[starts[1:]] = sources[1:] - sources[:-1] - lengths[:-1] + 1
-        np.cumsum(index, out=index)
-    return index
+    out = np.empty_like(source)
+    total = out.size
+    if not total:
+        return out
+    lows = np.arange(0, total, GATHER_BLOCK, dtype=starts.dtype)
+    highs = np.append(lows[1:], total)
+    # One search (no dtype cast) finds each block's first and last run.
+    spans = np.searchsorted(starts, np.stack([lows, highs - 1]),
+                            side="right")
+    steps = np.arange(GATHER_BLOCK, dtype=delta.dtype)
+    for block in range(lows.size):  # parlint: disable=PPR401 -- ceil(n / GATHER_BLOCK) iterations, vectorised bodies
+        lo, hi = int(lows[block]), int(highs[block])
+        first, stop = int(spans[0, block]) - 1, int(spans[1, block])
+        # Clip the runs straddling the block edges to the block.
+        widths = lengths[first:stop].copy()
+        widths[-1] = hi - starts[stop - 1]
+        widths[0] -= lo - starts[first]
+        index = np.repeat(delta[first:stop] + lo, widths)
+        index += steps[:hi - lo]
+        np.take(source, index, out=out[lo:hi])
+    return out
 
 
 def partition_field_runs(data: np.ndarray, keep_mask: np.ndarray,
@@ -342,20 +335,22 @@ def partition_field_runs(data: np.ndarray, keep_mask: np.ndarray,
                          segment_columns: np.ndarray,
                          segment_records: np.ndarray,
                          num_columns: int) -> PartitionResult:
-    """Partition per-segment tags via one stable segment gather.
+    """Partition per-segment tags by sorting the runs, not the symbols.
 
     Bit-identical to :func:`partition_by_column` over the segment tags
     expanded per symbol (same CSS, record tags, offsets and stable
     ``order`` permutation, the last two derived on demand) in
     ``O(n + num_fields)``:
 
-    1. count each segment's retained symbols from a running count of the
-       keep mask sampled at the segment ends; the non-empty segments are
-       the runs, keyed by their segment's column tag;
-    2. stable-counting-sort the *runs* by column id
-       (:func:`_stable_counting_sort`, ``num_fields ≪ n`` items);
-    3. compact the retained symbols once (``data[keep_mask]``) and
-       segment-gather the CSS from that buffer.
+    1. count each segment's retained symbols (its length, less a dropped
+       delimiter and the dropped symbols inside it); the non-empty
+       segments are the runs, keyed by their segment's column tag;
+    2. sort the *runs* by column id with a stable ``argsort`` of narrow
+       unsigned keys (an LSD radix sort up to 16 bits);
+    3. compact the retained symbols once (``data[keep_mask]``) and gather
+       the CSS from them block by block (:func:`_run_gather`).  Besides
+       a drop mask, these are the only per-symbol arrays; the run
+       geometry is int32 whenever ``n`` fits.
 
     Parameters
     ----------
@@ -372,46 +367,48 @@ def partition_field_runs(data: np.ndarray, keep_mask: np.ndarray,
             or segment_columns.shape != segment_records.shape \
             or segment_columns.size != delim_positions.size + 1:
         raise ParseError("partition inputs must share one shape")
-    n = data.size
-    if n:
-        # Retained symbols up to and including each segment's last one.
-        retained = np.cumsum(keep_mask, dtype=_index_dtype(n))[
-            np.append(delim_positions, n - 1)]
-        counts = np.diff(retained, prepend=0)
-    else:
-        counts = np.zeros(segment_columns.size, dtype=np.int64)
-    runs = np.flatnonzero(counts)
-    run_lengths = counts[runs].astype(np.int64)
-    run_keys = segment_columns[runs]
-    if run_keys.size:
-        if int(run_keys.min()) < 0:
-            raise ParseError("partition requires non-negative column tags")
-        if int(run_keys.max()) >= num_columns:
-            raise ParseError(
-                "a column tag exceeds the declared column count")
+    index = _index_dtype(data.size)
+    counts = segment_lengths(delim_positions, data.size).astype(index)
+    counts[:-1] -= ~keep_mask[delim_positions]
+    interior = ~keep_mask
+    interior[delim_positions] = False
+    interior = np.flatnonzero(interior)
+    if interior.size:
+        counts -= np.bincount(np.searchsorted(delim_positions, interior),
+                              minlength=counts.size).astype(index)
 
-    perm_runs, run_starts_of_key = _stable_counting_sort(run_keys,
-                                                         num_columns)
-    sources = exclusive_sum(run_lengths)[perm_runs]
-    lengths = run_lengths[perm_runs]
-    starts = exclusive_sum(lengths)
-    total = int(run_lengths.sum())
-    css = data[keep_mask][_segment_gather(sources, lengths, starts, total)]
+    runs = np.flatnonzero(counts)
+    run_lengths, run_keys = counts[runs], segment_columns[runs]
+    if run_keys.size and int(run_keys.min()) < 0:
+        raise ParseError("partition requires non-negative column tags")
+    if run_keys.size and int(run_keys.max()) >= num_columns:
+        raise ParseError("a column tag exceeds the declared column count")
+    # Stable argsort of keys no wider than 16 bits is NumPy's LSD radix
+    # sort: the paper's partition, over the runs instead of the symbols.
+    run_keys = run_keys.astype(np.min_scalar_type(max(num_columns - 1, 0)))
+    perm = np.argsort(run_keys, kind="stable").astype(index)
+    field_bounds = exclusive_sum(np.bincount(run_keys,
+                                             minlength=num_columns + 1))
+    field_records = segment_records[runs].astype(index)[perm]
+    del counts, interior, run_keys, runs
+
+    sources = exclusive_sum(run_lengths, index)[perm]
+    lengths = run_lengths[perm]
+    del run_lengths, perm
+    starts = exclusive_sum(lengths, index)
+    css = _run_gather(data[keep_mask], starts, lengths, sources - starts)
 
     # CSS boundaries without a per-symbol histogram: column c's CSS
-    # starts where its first sorted run starts, i.e. the run-length
-    # prefix sum evaluated at the counting sort's per-key offsets.
-    out_bounds = np.append(starts, total)
+    # starts where its first sorted run starts.
     column_offsets = np.empty(num_columns + 1, dtype=np.int64)
-    column_offsets[:-1] = out_bounds[run_starts_of_key]
-    column_offsets[-1] = total
+    column_offsets[:-1] = np.append(starts, css.size)[field_bounds[:-1]]
+    column_offsets[-1] = css.size
     # Every sorted run is exactly one non-empty field, so the run
     # geometry *is* the per-column field index.
-    field_bounds = np.append(run_starts_of_key, perm_runs.size)
     return PartitionResult(css=css, column_offsets=column_offsets,
                            num_columns=num_columns,
-                           num_field_runs=int(run_keys.size),
-                           field_records=segment_records[runs][perm_runs],
+                           num_field_runs=int(lengths.size),
+                           field_records=field_records,
                            field_starts=starts, field_lengths=lengths,
                            field_bounds=field_bounds,
                            field_sources=sources, keep=keep_mask)

@@ -42,16 +42,16 @@ def inclusive_sum(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values, dtype=np.int64)
 
 
-def exclusive_sum(values: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sum as int64: output[i] = sum(values[:i]).
+def exclusive_sum(values: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Exclusive prefix sum, int64 by default: output[i] = sum(values[:i]).
 
     >>> exclusive_sum(np.array([3, 5, 1, 2])).tolist()
     [0, 3, 8, 9]
     """
-    out = np.empty(len(values), dtype=np.int64)
+    out = np.empty(len(values), dtype=dtype)
     if len(values) == 0:
         return out
-    np.cumsum(values[:-1], dtype=np.int64, out=out[1:])
+    np.cumsum(values[:-1], dtype=dtype, out=out[1:])
     out[0] = 0
     return out
 

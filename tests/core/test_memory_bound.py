@@ -1,15 +1,20 @@
-"""Per-byte peak memory of a serial parse (ROADMAP item 3.4).
+"""Per-byte peak memory of a serial parse (ROADMAP item 3).
 
 The tracemalloc peak of one serial ``parse`` plus ``write_feather`` on a
 1 MiB input, divided by the input size, must stay under a per-shape
-bound.  The bounds sit just above what segment tags (no per-symbol id
-arrays) give: about 12 B/B on yelp-like input and 25 B/B on the
-many-short-fields taxi and logs shapes; per-symbol int64 tags put these
-at 55 and 67 B/B.  A parse of a large input also trims the C heap once,
-so the freed buffers leave the resident set.
+bound.  The bounds sit just above what segment tags and the blocked
+field-run partition give: about 7.6 B/B on yelp-like input and 14.7 B/B
+on the many-short-fields taxi and logs shapes.  Per-symbol int64 tags
+put these at 55 and 67 B/B, and the partition's two per-symbol prefix
+sums at 12.4 and 25.4 B/B.  A parse of a large input also trims the C
+heap once, so the freed buffers leave the resident set.
 
-The context scan has its own bound: over the ~270k chunk vectors of an
-8 MiB input it must stay within a small multiple of the vectors' own
+The partition has its own bound: on the validate payload of 1 MiB taxi
+input, ``partition_field_runs`` alone peaks at about 6.4 B/B beyond its
+inputs (17.1 B/B with the per-symbol prefix sums).
+
+The context scan has its own bound too: over the ~270k chunk vectors of
+an 8 MiB input it must stay within a small multiple of the vectors' own
 size (doubling scans copy them once per sweep).
 """
 
@@ -22,6 +27,7 @@ from repro import Dialect, ParPaRawParser, ParseOptions
 from repro.columnar.serialize import write_feather
 from repro.core import parser as parser_module
 from repro.core.context import chunk_start_states
+from repro.core.partition import partition_field_runs
 from repro.dfa.minimize import canonicalize
 from repro.workloads import (
     TAXI_SCHEMA,
@@ -29,6 +35,7 @@ from repro.workloads import (
     generate_taxi_like,
     generate_yelp_like,
 )
+from tests.core.test_partition_parity import run_until
 
 MiB = 1 << 20
 RFC4180 = Dialect(strip_carriage_return=False)
@@ -36,11 +43,11 @@ PIPE = Dialect(delimiter=b"|", quote=None, strip_carriage_return=False)
 
 SHAPES = {
     "yelp": (lambda: generate_yelp_like(MiB, seed=1),
-             ParseOptions(dialect=RFC4180, schema=YELP_SCHEMA), 32),
+             ParseOptions(dialect=RFC4180, schema=YELP_SCHEMA), 10),
     "taxi": (lambda: generate_taxi_like(MiB, seed=1),
-             ParseOptions(dialect=RFC4180, schema=TAXI_SCHEMA), 48),
+             ParseOptions(dialect=RFC4180, schema=TAXI_SCHEMA), 18),
     "logs": (lambda: generate_taxi_like(MiB, seed=1).replace(b",", b"|"),
-             ParseOptions(dialect=PIPE, schema=TAXI_SCHEMA), 48),
+             ParseOptions(dialect=PIPE, schema=TAXI_SCHEMA), 18),
 }
 
 
@@ -59,6 +66,22 @@ def test_peak_bytes_per_input_byte(shape):
     finally:
         tracemalloc.stop()
     assert peak / len(data) <= bound, f"{peak / len(data):.1f} B/B"
+
+
+def test_partition_peak_per_input_byte():
+    make, options, _ = SHAPES["taxi"]
+    data = make()
+    payload = run_until(data, options, "validate")
+    tracemalloc.start()
+    try:
+        partition_field_runs(payload.data_ext, payload.keep,
+                             payload.delim_positions,
+                             payload.segment_columns,
+                             payload.segment_records, payload.num_columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(data) <= 8, f"{peak / len(data):.1f} B/B"
 
 
 def test_scan_peak_per_vector_byte():
