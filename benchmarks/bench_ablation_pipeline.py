@@ -38,7 +38,7 @@ def yelp_emissions(yelp_1mb, yelp_schema):
                           timer=StepTimer())
     raw = np.frombuffer(yelp_1mb, dtype=np.uint8)
     tags = SerialExecutor().execute(
-        ctx, RawInput(raw=raw, input_bytes=raw.size), until="tag").tags
+        ctx, RawInput(raw=raw), until="tag").tags
     return (tags.emissions, tags.final_state,
             Chunking.of(raw.size, options.chunk_size))
 

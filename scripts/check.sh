@@ -59,12 +59,16 @@ python -m pytest tests/scan/test_numpy_scan.py tests/core/test_context.py \
 # (css, record tags, offsets, order) across dialects, tagging modes and
 # executors, and the global tagger must match the paper's chunked one,
 # which survives only as this oracle.  The partition alone and the
-# whole serial parse must stay within their per-input-byte peak bounds.
+# whole parse, serial and sharded inline, must stay within their
+# per-input-byte peak bounds, and the partition payload must hold no
+# per-symbol array but its CSS (the tag result is gone by then).
 python -m pytest tests/core/test_partition.py \
     tests/core/test_partition_parity.py \
     "tests/core/test_tagging.py::TestChunkedEqualsGlobal" \
     "tests/core/test_memory_bound.py::test_peak_bytes_per_input_byte" \
+    "tests/core/test_memory_bound.py::test_sharded_inline_peak_bytes_per_input_byte" \
     "tests/core/test_memory_bound.py::test_partition_peak_per_input_byte" \
+    "tests/core/test_memory_bound.py::test_partition_payload_holds_no_input_arrays" \
     -q
 # Columnar tier: zero-copy and copying convert assembly must both match
 # the sequential reference parser (dialects x tagging modes x executors;

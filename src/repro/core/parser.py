@@ -178,7 +178,7 @@ class ParPaRawParser:
                 options = options.with_(plan=None)
         ctx = PipelineContext(options=options, dfa=dfa,
                               timer=timer, tracer=tracer, metrics=metrics)
-        payload = RawInput(raw=raw, input_bytes=int(raw.size))
+        payload = RawInput(raw=raw)
         if metrics.enabled:
             metrics.count("bytes.in", int(raw.size))
         if tracer.enabled:
@@ -193,16 +193,17 @@ class ParPaRawParser:
             # whether a process that parses repeatedly settles at one
             # resident size or another ~20% higher.
             _malloc_trim(0)
+        selection = out.selection
         result = ParseResult(
             table=out.table,
-            num_records=out.num_records,
-            num_rows=out.num_rows,
-            rejected_records=out.rejected_records,
-            validation=out.report,
+            num_records=selection.num_records,
+            num_rows=selection.num_rows,
+            rejected_records=selection.rejected_records,
+            validation=selection.report,
             timer=timer,
             collaboration=out.collaboration,
             options=options,
-            input_bytes=out.input_bytes,
+            input_bytes=int(raw.size),
         )
         if self.planner is not None:
             self.planner.observe(result, metrics=metrics)

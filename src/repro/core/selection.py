@@ -7,15 +7,47 @@
 * **Records** are skipped after tagging: their symbols are marked
   irrelevant and never partitioned.
 * **Columns** are selected after tagging, the same way.
+
+:class:`Selection` carries these decisions from validation to conversion.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from repro.columnar.schema import Schema
+from repro.core.validation import ValidationReport
 from repro.errors import ParseError
 
-__all__ = ["prune_rows", "row_mapping", "selected_column_mask"]
+__all__ = ["Selection", "prune_rows", "row_mapping", "selected_column_mask"]
+
+
+@dataclass
+class Selection:
+    """Validation's decisions that only conversion and the parser read.
+
+    Built once by the validate stage and handed through the partition and
+    convert payloads by reference.
+    """
+
+    #: Format/column-count findings.
+    report: ValidationReport
+    #: Output schema, or ``None`` when it is inferred during conversion.
+    schema: Schema | None
+    #: Column count (declared or inferred).
+    num_columns: int
+    #: ``(num_columns,)`` bool — columns to materialise.
+    column_mask: np.ndarray
+    #: ``(num_records,)`` int64 — dense output row per record (-1 dropped).
+    rows_of_record: np.ndarray
+    #: Output row count.
+    num_rows: int
+    #: Records the tagger found.
+    num_records: int
+    #: Records dropped by policy or the invalid tail.
+    rejected_records: int
 
 
 def prune_rows(data: np.ndarray, skip_rows: frozenset[int] | set[int],

@@ -21,6 +21,15 @@ The *timer step* column is the paper's step vocabulary (Figures 9/11);
 :class:`StagePipeline` times each stage under that name, so the measured
 breakdown of a staged parse is indistinguishable from the old monolith's.
 
+Each payload holds what its consuming stage reads, and nothing else.  The
+grid payloads extend one another (chunk → stv → scan → tag), and the
+whole grid is dropped when tag returns.  After that, every payload is a
+flat dataclass built field by field: :class:`ValidatedInput` carries the
+six arrays partition reads, :class:`PartitionedInput` the CSS, and both
+hand validation's one :class:`~repro.core.selection.Selection` through to
+:class:`ConvertedOutput` by reference.  So each stage's inputs are freed
+as soon as it returns.
+
 Stages are pure with respect to the :class:`PipelineContext` (options,
 automaton, timer): running the same stage twice on the same payload gives
 the same result.  This is what makes execution *pluggable*: the
@@ -44,13 +53,13 @@ from repro.core.conversion import CollaborationStats, ConvertStats, \
     convert_column
 from repro.core.options import ColumnCountPolicy, ParseOptions, TaggingMode
 from repro.core.partition import PartitionResult, partition_field_runs
-from repro.core.selection import prune_rows, row_mapping, selected_column_mask
+from repro.core.selection import Selection, prune_rows, row_mapping, \
+    selected_column_mask
 from repro.core.tagging import TagResult, segment_lengths, tag_global
 from repro.core.tagging_modes import build_keep_mask, column_indexes, \
     prepare_css
 from repro.core.typeinfer import infer_column_type
-from repro.core.validation import ValidationReport, apply_column_policy, \
-    validate_input
+from repro.core.validation import apply_column_policy, validate_input
 from repro.dfa.automaton import Dfa
 from repro.dfa.minimize import Minimization
 from repro.errors import ParseError
@@ -117,8 +126,6 @@ class RawInput:
 
     #: ``(n,)`` uint8 input bytes.
     raw: np.ndarray
-    #: Size of the *original* input, before row pruning (for rates).
-    input_bytes: int
 
 
 @dataclass
@@ -176,29 +183,17 @@ class TaggedInput(RawInput):
 
 
 @dataclass
-class ValidatedInput(TaggedInput):
-    """Tagged input after validation, policies and selection (§4.3)."""
+class ValidatedInput:
+    """Validation's selection plus exactly what the partition reads (§4.3).
 
-    #: Format/column-count findings.
-    report: ValidationReport
-    #: Output schema, or ``None`` when it is inferred during conversion.
-    schema: Schema | None
-    #: Column count (declared or inferred).
-    num_columns: int
-    #: ``(num_columns,)`` bool — columns to materialise.
-    column_mask: np.ndarray
-    #: ``(num_records,)`` bool — records producing an output row.
-    valid_records: np.ndarray
-    #: ``(num_records,)`` int64 — dense output row per record (-1 dropped).
-    rows_of_record: np.ndarray
-    #: Output row count.
-    num_rows: int
-    #: Records dropped by policy or the invalid tail.
-    rejected_records: int
+    The tag result, the data bitmap and the record masks stay behind:
+    what they decided is in ``keep`` and the segment arrays.
+    """
+
+    #: Validation's decisions, handed through to conversion.
+    selection: Selection
     #: Input extended with the virtual trailing record delimiter.
     data_ext: np.ndarray
-    #: Data bitmap over the extended input.
-    data_mask: np.ndarray
     #: Delimiter bitmap over the extended input; only the inline and
     #: delimited modes read it (``None`` in the record-tagged mode).
     delim_mask: np.ndarray | None
@@ -213,9 +208,11 @@ class ValidatedInput(TaggedInput):
 
 
 @dataclass
-class PartitionedInput(ValidatedInput):
-    """Validated input with symbols partitioned into per-column CSSs."""
+class PartitionedInput:
+    """Symbols partitioned into per-column CSSs: what conversion reads."""
 
+    #: Validation's decisions, handed through from validate.
+    selection: Selection
     #: The stable column partition.
     part: PartitionResult
     #: CSS after mode-specific post-processing (§4.1).
@@ -231,11 +228,8 @@ class ConvertedOutput:
 
     table: Table
     collaboration: CollaborationStats
-    report: ValidationReport
-    num_records: int
-    num_rows: int
-    rejected_records: int
-    input_bytes: int
+    #: Validation's decisions (report, row and record counts).
+    selection: Selection
     #: Byte-copy accounting of the convert stage (fused-path telemetry).
     convert_stats: ConvertStats = field(default_factory=ConvertStats)
 
@@ -303,7 +297,7 @@ class PruneStage(Stage):
     def run(self, ctx, payload: RawInput) -> RawInput:
         raw = prune_rows(payload.raw, ctx.options.skip_rows,
                          ctx.options.dialect.record_delimiter_byte)
-        return RawInput(raw=raw, input_bytes=payload.input_bytes)
+        return RawInput(raw=raw)
 
 
 class ChunkStage(Stage):
@@ -323,8 +317,7 @@ class ChunkStage(Stage):
     def run(self, ctx, payload: RawInput) -> ChunkedInput:
         groups, chunking, padded_dfa, canon = chunk_groups_canonical(
             payload.raw, ctx.dfa, ctx.options.chunk_size)
-        return ChunkedInput(raw=payload.raw, input_bytes=payload.input_bytes,
-                            groups=groups, chunking=chunking,
+        return ChunkedInput(raw=payload.raw, groups=groups, chunking=chunking,
                             padded_dfa=padded_dfa, canon=canon)
 
     def record_metrics(self, metrics, payload: ChunkedInput) -> None:
@@ -398,8 +391,8 @@ class TagStage(Stage):
         if ctx.metrics.enabled:
             ctx.metrics.gauge("stage.tag.stride", payload.plan.k)
         tags = tag_global(emissions, final_state)
-        return TaggedInput(raw=payload.raw, input_bytes=payload.input_bytes,
-                           tags=tags, invalid_position=invalid_position)
+        return TaggedInput(raw=payload.raw, tags=tags,
+                           invalid_position=invalid_position)
 
 
 class ValidateStage(Stage):
@@ -450,29 +443,21 @@ class ValidateStage(Stage):
             segment_ok, segment_lengths(delim_positions, data_ext.size))
         keep = build_keep_mask(mode, data_mask, delim_mask, symbol_ok)
 
+        selection = Selection(
+            report=report, schema=schema, num_columns=num_columns,
+            column_mask=column_mask, rows_of_record=rows_of_record,
+            num_rows=num_rows, num_records=tags.num_records,
+            rejected_records=rejected)
         return ValidatedInput(
-            **payload.__dict__,
-            report=report,
-            schema=schema,
-            num_columns=num_columns,
-            column_mask=column_mask,
-            valid_records=valid_records,
-            rows_of_record=rows_of_record,
-            num_rows=num_rows,
-            rejected_records=rejected,
-            data_ext=data_ext,
-            data_mask=data_mask,
-            delim_mask=delim_mask,
-            keep=keep,
-            delim_positions=delim_positions,
-            segment_records=segment_records,
-            segment_columns=segment_columns,
-        )
+            selection=selection, data_ext=data_ext, delim_mask=delim_mask,
+            keep=keep, delim_positions=delim_positions,
+            segment_records=segment_records, segment_columns=segment_columns)
 
     def record_metrics(self, metrics, payload: ValidatedInput) -> None:
-        metrics.count("records", payload.tags.num_records)
-        metrics.count("records.rejected", payload.rejected_records)
-        metrics.gauge("columns", payload.num_columns)
+        selection = payload.selection
+        metrics.count("records", selection.num_records)
+        metrics.count("records.rejected", selection.rejected_records)
+        metrics.gauge("columns", selection.num_columns)
 
     # -- helpers (the monolith's private methods, verbatim semantics) -------
 
@@ -600,11 +585,11 @@ class PartitionStage(Stage):
                                     payload.delim_positions,
                                     payload.segment_columns,
                                     payload.segment_records,
-                                    payload.num_columns)
+                                    payload.selection.num_columns)
         css, aux_delims = prepare_css(options.tagging_mode, part,
                                       payload.delim_mask, options)
-        return PartitionedInput(**payload.__dict__, part=part, css=css,
-                                aux_delims=aux_delims)
+        return PartitionedInput(selection=payload.selection, part=part,
+                                css=css, aux_delims=aux_delims)
 
     def record_metrics(self, metrics, payload: PartitionedInput) -> None:
         metrics.gauge("partition.fields", payload.part.num_field_runs)
@@ -622,11 +607,12 @@ class ConvertStage(Stage):
         options = ctx.options
         mode = options.tagging_mode
         part, css = payload.part, payload.css
-        num_columns, num_rows = payload.num_columns, payload.num_rows
+        selection = payload.selection
+        num_columns, num_rows = selection.num_columns, selection.num_rows
 
         indexes = column_indexes(mode, part, css, payload.aux_delims,
                                  options)
-        schema = payload.schema
+        schema = selection.schema
         if schema is None:
             schema = self._infer_schema(options, part, css, indexes,
                                         num_columns)
@@ -635,7 +621,7 @@ class ConvertStage(Stage):
         collaboration = CollaborationStats()
         convert_stats = ConvertStats()
         for column in range(num_columns):
-            if not payload.column_mask[column]:
+            if not selection.column_mask[column]:
                 continue
             field = schema[column]
             lo = int(part.column_offsets[column])
@@ -643,7 +629,7 @@ class ConvertStage(Stage):
             column_css = css[lo:hi]
             index = indexes[column]
             if mode is TaggingMode.TAGGED:
-                row_of = payload.rows_of_record
+                row_of = selection.rows_of_record
             else:
                 row_of = np.arange(num_rows, dtype=np.int64)
                 if index.num_fields != num_rows:
@@ -660,21 +646,14 @@ class ConvertStage(Stage):
             collaboration = collaboration + stats
 
         table = Table(Schema(out_fields), columns)
-        return ConvertedOutput(
-            table=table,
-            collaboration=collaboration,
-            report=payload.report,
-            num_records=payload.tags.num_records,
-            num_rows=num_rows,
-            rejected_records=payload.rejected_records,
-            input_bytes=payload.input_bytes,
-            convert_stats=convert_stats,
-        )
+        return ConvertedOutput(table=table, collaboration=collaboration,
+                               selection=selection,
+                               convert_stats=convert_stats)
 
     def record_metrics(self, metrics, payload: ConvertedOutput) -> None:
-        metrics.count("rows", payload.num_rows)
-        metrics.count("fields",
-                      payload.num_rows * payload.table.num_columns)
+        num_rows = payload.selection.num_rows
+        metrics.count("rows", num_rows)
+        metrics.count("fields", num_rows * payload.table.num_columns)
         metrics.count("bytes.out",
                       sum(col.data.nbytes
                           + (col.offsets.nbytes if col.offsets is not None

@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import abc
 
-from repro.core.stages import (
-    PipelineContext,
-    RawInput,
-    StagePipeline,
-    default_pipeline,
-)
+from repro.core.stages import PipelineContext, RawInput, default_pipeline
 from repro.errors import ExecutorError
 
 __all__ = ["Executor"]
@@ -24,10 +19,9 @@ __all__ = ["Executor"]
 class Executor(abc.ABC):
     """Schedules pipeline stages; see :mod:`repro.exec`."""
 
-    def __init__(self, pipeline: StagePipeline | None = None):
+    def __init__(self):
         #: The stage pipeline this executor drives.
-        self.pipeline = pipeline if pipeline is not None \
-            else default_pipeline()
+        self.pipeline = default_pipeline()
         self._closed = False
 
     @property

@@ -250,13 +250,6 @@ class ShardedExecutor(Executor):
         ``False`` executes the worker tasks inline in the calling
         process (the full sharded data path, minus the pool) — useful
         for tests and debugging.
-    shared_input:
-        Publish the raw input to pool workers through
-        :mod:`multiprocessing.shared_memory` (the default) instead of
-        pickling every shard's bytes; ``False`` forces the pickle path
-        (the automatic fallback when shared memory is unavailable).
-    pipeline:
-        Stage pipeline override (defaults to the canonical one).
 
     The worker pool is created lazily on first use and reused across
     parses; call :meth:`close` (or use the executor as a context
@@ -265,10 +258,8 @@ class ShardedExecutor(Executor):
 
     def __init__(self, workers: int | None = None,
                  shard_bytes: int | None = None,
-                 use_processes: bool = True,
-                 shared_input: bool = True,
-                 pipeline=None):
-        super().__init__(pipeline)
+                 use_processes: bool = True):
+        super().__init__()
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
@@ -278,7 +269,6 @@ class ShardedExecutor(Executor):
         self.workers = int(workers)
         self.shard_bytes = shard_bytes
         self.use_processes = bool(use_processes)
-        self.shared_input = bool(shared_input)
         self._pool: ProcessPoolExecutor | None = None
         # Guards lazy pool creation/teardown: the ingest service drives
         # one shared executor from several dispatcher threads, and an
@@ -313,10 +303,12 @@ class ShardedExecutor(Executor):
 
         payload = self.pipeline.run_stage(self.pipeline.stage("prune"),
                                           ctx, payload)
-        tagged = self._tag_sharded(ctx, payload)
         if until == "tag":
-            return tagged
-        return self.pipeline.run(ctx, tagged, start="validate", until=until)
+            return self._tag_sharded(ctx, payload)
+        # No local keeps the tag payload: the pipeline drops it once
+        # validate has read it, as on the serial schedule.
+        return self.pipeline.run(ctx, self._tag_sharded(ctx, payload),
+                                 start="validate", until=until)
 
     # -- sharded phases 1+2 ------------------------------------------------
 
@@ -422,21 +414,20 @@ class ShardedExecutor(Executor):
                 shm.close()
                 shm.unlink()
 
-        return TaggedInput(raw=raw, input_bytes=payload.input_bytes,
-                           tags=tags, invalid_position=invalid_position)
+        return TaggedInput(raw=raw, tags=tags,
+                           invalid_position=invalid_position)
 
     def _ship_input(self, raw: np.ndarray, bounds, pooled: bool):
         """How shard bytes reach the workers: ``(shm, shard payloads)``.
 
-        On a real pool (and unless ``shared_input=False``) the input is
-        copied once into a POSIX shared-memory block and workers get
-        ``(name, total, lo, hi)`` descriptors; they attach and slice
-        their own shard, so no input bytes are pickled.  Inline
-        execution, single-shard runs and platforms without
-        ``multiprocessing.shared_memory`` fall back to shipping the
-        shard arrays themselves.
+        On a real pool the input is copied once into a POSIX
+        shared-memory block and workers get ``(name, total, lo, hi)``
+        descriptors; they attach and slice their own shard, so no input
+        bytes are pickled.  Inline execution, single-shard runs and
+        platforms without ``multiprocessing.shared_memory`` fall back to
+        shipping the shard arrays themselves.
         """
-        if pooled and self.shared_input and raw.size:
+        if pooled and raw.size:
             try:
                 from multiprocessing import shared_memory
                 shm = shared_memory.SharedMemory(create=True,

@@ -230,7 +230,7 @@ class StreamingParser:
         ctx = PipelineContext(options=self.options, dfa=self._dfa,
                               timer=StepTimer(), tracer=self.tracer,
                               metrics=self.metrics)
-        payload = RawInput(raw=raw, input_bytes=int(raw.size))
+        payload = RawInput(raw=raw)
         if self.tracer.enabled:
             with self.tracer.span("boundary", bytes=int(raw.size)):
                 tagged: TaggedInput = self._executor.execute(ctx, payload,

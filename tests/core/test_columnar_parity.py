@@ -106,9 +106,8 @@ class TestZeroCopyStrings:
                               timer=StepTimer())
         raw = as_uint8(data)
         with executor:
-            payload = executor.execute(
-                ctx, RawInput(raw=raw, input_bytes=raw.size),
-                until="partition")
+            payload = executor.execute(ctx, RawInput(raw=raw),
+                                       until="partition")
         converted = ConvertStage().run(ctx, payload)
         return payload, converted
 

@@ -1,13 +1,21 @@
-"""Per-byte peak memory of a serial parse (ROADMAP item 3).
+"""Per-byte peak memory of a parse (ROADMAP item 3).
 
-The tracemalloc peak of one serial ``parse`` plus ``write_feather`` on a
-1 MiB input, divided by the input size, must stay under a per-shape
-bound.  The bounds sit just above what segment tags and the blocked
-field-run partition give: about 7.6 B/B on yelp-like input and 14.7 B/B
-on the many-short-fields taxi and logs shapes.  Per-symbol int64 tags
-put these at 55 and 67 B/B, and the partition's two per-symbol prefix
-sums at 12.4 and 25.4 B/B.  A parse of a large input also trims the C
-heap once, so the freed buffers leave the resident set.
+The tracemalloc peak of one ``parse`` plus ``write_feather`` on a 1 MiB
+input, divided by the input size, must stay under a per-shape bound, on
+the serial executor and on the sharded one run inline.  The bounds sit
+just above what segment tags, the blocked field-run partition and
+payloads that drop the tag result after validate give: about 7.3 B/B on
+yelp-like input and 11.9 B/B on the many-short-fields taxi and logs
+shapes, where the tag stage now sets the peak.  Per-symbol int64 tags
+put these at 55 and 67 B/B, the partition's two per-symbol prefix sums
+at 12.4 and 25.4 B/B, and payloads that kept the tag result alive
+through partition and convert at 7.6 and 14.7 B/B.  A parse of a large
+input also trims the C heap once, so the freed buffers leave the
+resident set.
+
+The partition payload itself holds no per-symbol array but its CSS and
+the partition's keep mask: the tag result, the extended input and the
+validate masks are all unreachable from it.
 
 The partition has its own bound: on the validate payload of 1 MiB taxi
 input, ``partition_field_runs`` alone peaks at about 6.4 B/B beyond its
@@ -18,12 +26,13 @@ an 8 MiB input it must stay within a small multiple of the vectors' own
 size (doubling scans copy them once per sweep).
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro import Dialect, ParPaRawParser, ParseOptions
+from repro import Dialect, ParPaRawParser, ParseOptions, ShardedExecutor
 from repro.columnar.serialize import write_feather
 from repro.core import parser as parser_module
 from repro.core.context import chunk_start_states
@@ -43,19 +52,18 @@ PIPE = Dialect(delimiter=b"|", quote=None, strip_carriage_return=False)
 
 SHAPES = {
     "yelp": (lambda: generate_yelp_like(MiB, seed=1),
-             ParseOptions(dialect=RFC4180, schema=YELP_SCHEMA), 10),
+             ParseOptions(dialect=RFC4180, schema=YELP_SCHEMA), 9),
     "taxi": (lambda: generate_taxi_like(MiB, seed=1),
-             ParseOptions(dialect=RFC4180, schema=TAXI_SCHEMA), 18),
+             ParseOptions(dialect=RFC4180, schema=TAXI_SCHEMA), 14),
     "logs": (lambda: generate_taxi_like(MiB, seed=1).replace(b",", b"|"),
-             ParseOptions(dialect=PIPE, schema=TAXI_SCHEMA), 18),
+             ParseOptions(dialect=PIPE, schema=TAXI_SCHEMA), 14),
 }
 
 
-@pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_peak_bytes_per_input_byte(shape):
+def assert_peak_within_bound(shape, executor=None):
     make, options, bound = SHAPES[shape]
     data = make()
-    parser = ParPaRawParser(options)
+    parser = ParPaRawParser(options, executor=executor)
     # Build the process-wide kernel tables outside the measurement: they
     # are a one-time cost, not a per-byte one.
     parser.parse(data[:4096])
@@ -68,6 +76,56 @@ def test_peak_bytes_per_input_byte(shape):
     assert peak / len(data) <= bound, f"{peak / len(data):.1f} B/B"
 
 
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_peak_bytes_per_input_byte(shape):
+    assert_peak_within_bound(shape)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_sharded_inline_peak_bytes_per_input_byte(shape):
+    """The sharded schedule hands the merged tag payload straight to
+    validate, so it drops the tag result as early as the serial one."""
+    assert_peak_within_bound(
+        shape, ShardedExecutor(workers=2, use_processes=False))
+
+
+def reachable_arrays(obj, seen=None):
+    """Every ndarray reachable from ``obj`` through dataclass fields,
+    instance attributes and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if dataclasses.is_dataclass(obj):
+        children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif isinstance(obj, dict):
+        children = list(obj.values())
+    else:
+        children = list(getattr(obj, "__dict__", {}).values())
+    return [array for child in children
+            for array in reachable_arrays(child, seen)]
+
+
+@pytest.mark.parametrize("sharded", [False, True],
+                         ids=["serial", "sharded"])
+def test_partition_payload_holds_no_input_arrays(sharded):
+    """After partition, the only per-symbol arrays left are the CSS and
+    the keep mask the partition derives ``order`` from on demand."""
+    data = generate_taxi_like(1 << 16, seed=1)
+    executor = ShardedExecutor(workers=2, use_processes=False) \
+        if sharded else None
+    payload = run_until(data, SHAPES["taxi"][1], "partition", executor)
+    allowed = {id(payload.css), id(payload.part.css), id(payload.part.keep)}
+    extra = [f"{array.dtype}[{array.size}]"
+             for array in reachable_arrays(payload)
+             if array.size >= payload.css.size and id(array) not in allowed]
+    assert not extra, extra
+
+
 def test_partition_peak_per_input_byte():
     make, options, _ = SHAPES["taxi"]
     data = make()
@@ -77,7 +135,8 @@ def test_partition_peak_per_input_byte():
         partition_field_runs(payload.data_ext, payload.keep,
                              payload.delim_positions,
                              payload.segment_columns,
-                             payload.segment_records, payload.num_columns)
+                             payload.segment_records,
+                             payload.selection.num_columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -45,8 +45,7 @@ def run_until(data: bytes, options: ParseOptions, until: str,
                           timer=StepTimer())
     raw = as_uint8(data)
     with executor:
-        return executor.execute(
-            ctx, RawInput(raw=raw, input_bytes=raw.size), until=until)
+        return executor.execute(ctx, RawInput(raw=raw), until=until)
 
 
 def partition_result(data: bytes, options: ParseOptions, executor=None):
@@ -65,7 +64,7 @@ def radix_oracle(data: bytes, options: ParseOptions):
         payload.data_ext, payload.keep,
         np.repeat(payload.segment_columns, lengths),
         np.repeat(payload.segment_records, lengths),
-        payload.num_columns)
+        payload.selection.num_columns)
     prepare_css(options.tagging_mode, part, payload.delim_mask, options)
     return part
 
@@ -167,18 +166,19 @@ class TestOnDemandPermutation:
         assert_parts_identical(radix_oracle(self.DATA, options), part)
 
     def test_default_payload_carries_no_symbol_ids(self):
+        validated = run_until(self.DATA, ParseOptions(), "validate")
+        assert validated.delim_mask is None
+        assert validated.segment_columns.size \
+            == validated.delim_positions.size + 1
         ctx = PipelineContext(options=ParseOptions(), dfa=dialect_dfa(
             ParseOptions().dialect), timer=StepTimer())
-        raw = as_uint8(self.DATA)
         payload = SerialExecutor().execute(
-            ctx, RawInput(raw=raw, input_bytes=raw.size), until="partition")
+            ctx, RawInput(raw=as_uint8(self.DATA)), until="partition")
         assert not hasattr(payload, "col_ids")
         assert not hasattr(payload, "rec_ids")
-        assert payload.delim_mask is None and payload.aux_delims is None
-        assert payload.segment_columns.size \
-            == payload.delim_positions.size + 1
+        assert payload.aux_delims is None
         # Converting reads the field geometry, never the permutation.
         out = default_pipeline().run(ctx, payload, start="convert")
-        assert out.num_rows == 4
+        assert out.selection.num_rows == 4
         assert payload.part._order is None
         assert payload.part._record_tags is None

@@ -115,7 +115,7 @@ class TestTrickyCorpus:
         ctx = PipelineContext(options=options, dfa=options.resolved_dfa(),
                               timer=StepTimer())
         for data in TRICKY_INPUTS:
-            payload = RawInput(raw=as_uint8(data), input_bytes=len(data))
+            payload = RawInput(raw=as_uint8(data))
             serial = SerialExecutor().execute(ctx, payload,
                                               until="tag").tags
             oracle = tag_chunked(serial.emissions, serial.final_state,

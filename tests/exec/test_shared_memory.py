@@ -4,10 +4,13 @@ On a real process pool the raw input travels to workers once, through a
 POSIX shared-memory block, instead of being pickled shard by shard for
 each of the two worker phases.  These tests prove the fast path and the
 fallback produce identical results, and that the bytes-shipped metrics
-make the difference observable.
+make the difference observable.  The fallback is reached the way a
+platform without POSIX shared memory reaches it: creating the segment
+raises ``OSError``.
 """
 
 import pickle
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -23,6 +26,10 @@ DATA = b"".join(b"%d,%d.25,item-%d\n" % (i, i, i) for i in range(600))
 OPTIONS = ParseOptions(dialect=Dialect(strip_carriage_return=False))
 
 
+def no_shared_memory(*args, **kwargs):
+    raise OSError("shared memory unavailable")
+
+
 def parse_with(executor, metrics=None):
     parser = ParPaRawParser(OPTIONS, executor=executor,
                             metrics=metrics or MetricsRegistry())
@@ -35,10 +42,12 @@ def serial_result():
 
 
 @pytest.mark.parametrize("shared_input", [True, False])
-def test_pool_results_identical_either_path(shared_input, serial_result):
+def test_pool_results_identical_either_path(shared_input, serial_result,
+                                            monkeypatch):
+    if not shared_input:
+        monkeypatch.setattr(shared_memory, "SharedMemory", no_shared_memory)
     executor = ShardedExecutor(workers=2, shard_bytes=len(DATA) // 3,
-                               use_processes=True,
-                               shared_input=shared_input)
+                               use_processes=True)
     result = parse_with(executor)
     assert result.table.to_pylist() == serial_result.table.to_pylist()
     assert result.num_records == serial_result.num_records
@@ -49,16 +58,17 @@ def test_pool_results_identical_either_path(shared_input, serial_result):
 def test_shared_memory_ships_no_input_bytes():
     metrics = MetricsRegistry()
     executor = ShardedExecutor(workers=2, shard_bytes=len(DATA) // 3,
-                               use_processes=True, shared_input=True)
+                               use_processes=True)
     parse_with(executor, metrics)
     assert metrics.gauges["sharded.input.shared_memory"] == 1.0
     assert metrics.counters["sharded.input.bytes.shipped"] == 0
 
 
-def test_fallback_ships_every_shard_twice():
+def test_fallback_ships_every_shard_twice(monkeypatch):
+    monkeypatch.setattr(shared_memory, "SharedMemory", no_shared_memory)
     metrics = MetricsRegistry()
     executor = ShardedExecutor(workers=2, shard_bytes=len(DATA) // 3,
-                               use_processes=True, shared_input=False)
+                               use_processes=True)
     parse_with(executor, metrics)
     assert metrics.gauges["sharded.input.shared_memory"] == 0.0
     # Both worker phases (contexts + tags) pickle the full input.
@@ -68,7 +78,7 @@ def test_fallback_ships_every_shard_twice():
 def test_inline_mode_never_uses_shared_memory():
     metrics = MetricsRegistry()
     executor = ShardedExecutor(workers=2, shard_bytes=len(DATA) // 3,
-                               use_processes=False, shared_input=True)
+                               use_processes=False)
     parse_with(executor, metrics)
     # Inline shards are plain array views; nothing crosses a process
     # boundary, and nothing is counted as shipped either way.

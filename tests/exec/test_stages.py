@@ -28,7 +28,7 @@ def make_ctx(options: ParseOptions | None = None) -> PipelineContext:
 
 def raw_payload(data: bytes) -> RawInput:
     raw = np.frombuffer(data, dtype=np.uint8)
-    return RawInput(raw=raw, input_bytes=raw.size)
+    return RawInput(raw=raw)
 
 
 class TestPipelineStructure:
@@ -103,7 +103,7 @@ class TestPartialExecution:
         tagged = default_pipeline().run(ctx, raw_payload(DATA), until="tag")
         out = default_pipeline().run(ctx, tagged, start="validate")
         assert isinstance(out, ConvertedOutput)
-        assert out.num_rows == 3
+        assert out.selection.num_rows == 3
 
     def test_executor_until_tag(self):
         for executor in (SerialExecutor(),
