@@ -16,13 +16,12 @@ cells.  Two artefacts:
   backing the acceptance criterion (auto ≥ every fixed config on every
   workload, strictly better than the default on at least one).
 
-Timing discipline follows ``bench_kernels.py`` (warm-up parse to build
-k-gram tables, then best-of-N on the *stage timers* — all stages, since
-the planner trades chunking and striding against each other) with one
-addition: the cells of one workload are timed
-round-robin, one parse of every config per round, so slow periods of a
-shared machine bias every config equally instead of whichever cell they
-landed on.  Runnable standalone for the check.sh smoke:
+Timing discipline: a warm-up parse to build the k-gram tables, then
+best-of-N on the *stage timers* — all stages, since the planner trades
+chunking and striding against each other.  The cells of one workload
+are timed round-robin, one parse of every config per round, so slow
+periods of a shared machine bias every config equally instead of
+whichever cell they landed on.  Runnable standalone for the check.sh smoke:
 
     python benchmarks/bench_plan.py --bytes 131072 --repeats 2
 """

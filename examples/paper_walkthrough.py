@@ -26,6 +26,7 @@ from repro.core.offsets import compute_chunk_offsets
 from repro.core.partition import partition_by_column
 from repro.core.css import tagged_index
 from repro.core.tagging import compute_emissions, tag_global
+from repro.dfa.automaton import Emission
 
 DATA = b'1941,199.99,"Bookcase"\n1938,19.99,"Frame\n""Ribba"", black"\n'
 CHUNK = 10  # the figures use six ~10-byte chunks
@@ -72,7 +73,8 @@ def main() -> None:
     print("record-tags:", tags.record_ids.tolist())
 
     show("Figure 5: partitioning into per-column CSSs + indexes")
-    part = partition_by_column(raw, tags.data_mask, tags.column_ids,
+    data_mask = tags.emissions == Emission.DATA
+    part = partition_by_column(raw, data_mask, tags.column_ids,
                                tags.record_ids, num_columns=3)
     print("column offsets:", part.column_offsets.tolist())
     for column in range(3):

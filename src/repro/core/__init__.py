@@ -8,8 +8,8 @@ follows them:
    handling (§4.2);
 2. :mod:`~repro.core.context` — per-chunk state-transition vectors and the
    composition scan that yields every chunk's parsing context (§3.1);
-3. :mod:`~repro.core.tagging` — delimiter bitmap indexes and
-   per-segment record/column tags (§3.2); the paper's per-chunk rel/abs
+3. :mod:`~repro.core.tagging` — emission codes and per-segment
+   record/column tags (§3.2); the paper's per-chunk rel/abs
    offset scans (:mod:`~repro.core.offsets`) survive as the chunked
    tagger, a test oracle;
 4. :mod:`~repro.core.partition` / :mod:`~repro.core.css` — field-run

@@ -140,7 +140,7 @@ class PartitionResult:
     field_records / field_starts / field_lengths / field_bounds:
         Per-field geometry read directly off the sorted runs, present
         only on the field-run path (where one run is exactly one
-        non-empty field), int32 whenever the input fits except the
+        non-empty field), in the segment arrays' index width except the
         int64 ``field_bounds``.  Sorted-run ``j`` is a field starting at
         CSS position ``field_starts[j]`` with ``field_lengths[j]``
         symbols of record ``field_records[j]``; column ``c``'s fields
@@ -293,11 +293,6 @@ def partition_by_column(data: np.ndarray, keep_mask: np.ndarray,
 GATHER_BLOCK = 1 << 16
 
 
-def _index_dtype(size: int) -> type:
-    """The narrowest of int32/int64 indexing ``size`` positions."""
-    return np.int32 if size < np.iinfo(np.int32).max else np.int64
-
-
 def _run_gather(source: np.ndarray, starts: np.ndarray,
                 lengths: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Run-wise permutation of ``source``, built one block at a time.
@@ -350,7 +345,7 @@ def partition_field_runs(data: np.ndarray, keep_mask: np.ndarray,
     3. compact the retained symbols once (``data[keep_mask]``) and gather
        the CSS from them block by block (:func:`_run_gather`).  Besides
        a drop mask, these are the only per-symbol arrays; the run
-       geometry is int32 whenever ``n`` fits.
+       geometry keeps the segments' (tagging's) index width.
 
     Parameters
     ----------
@@ -361,14 +356,14 @@ def partition_field_runs(data: np.ndarray, keep_mask: np.ndarray,
         (:func:`~repro.core.tagging.segment_lengths`).
     segment_columns / segment_records:
         ``(m + 1,)`` column and record tag of every symbol of each
-        segment — what phase 2 produces.
+        segment — what phase 2 produces, in one index dtype.
     """
     if data.shape != keep_mask.shape \
             or segment_columns.shape != segment_records.shape \
             or segment_columns.size != delim_positions.size + 1:
         raise ParseError("partition inputs must share one shape")
-    index = _index_dtype(data.size)
-    counts = segment_lengths(delim_positions, data.size).astype(index)
+    index = delim_positions.dtype
+    counts = segment_lengths(delim_positions, data.size)
     counts[:-1] -= ~keep_mask[delim_positions]
     interior = ~keep_mask
     interior[delim_positions] = False
@@ -389,7 +384,7 @@ def partition_field_runs(data: np.ndarray, keep_mask: np.ndarray,
     perm = np.argsort(run_keys, kind="stable").astype(index)
     field_bounds = exclusive_sum(np.bincount(run_keys,
                                              minlength=num_columns + 1))
-    field_records = segment_records[runs].astype(index)[perm]
+    field_records = segment_records[runs][perm]
     del counts, interior, run_keys, runs
 
     sources = exclusive_sum(run_lengths, index)[perm]

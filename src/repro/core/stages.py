@@ -60,7 +60,7 @@ from repro.core.tagging_modes import build_keep_mask, column_indexes, \
     prepare_css
 from repro.core.typeinfer import infer_column_type
 from repro.core.validation import apply_column_policy, validate_input
-from repro.dfa.automaton import Dfa
+from repro.dfa.automaton import Dfa, Emission
 from repro.dfa.minimize import Minimization
 from repro.errors import ParseError
 from repro.kernels import (
@@ -186,7 +186,7 @@ class TaggedInput(RawInput):
 class ValidatedInput:
     """Validation's selection plus exactly what the partition reads (§4.3).
 
-    The tag result, the data bitmap and the record masks stay behind:
+    The tag result, the data mask and the record masks stay behind:
     what they decided is in ``keep`` and the segment arrays.
     """
 
@@ -194,7 +194,7 @@ class ValidatedInput:
     selection: Selection
     #: Input extended with the virtual trailing record delimiter.
     data_ext: np.ndarray
-    #: Delimiter bitmap over the extended input; only the inline and
+    #: Delimiter mask over the extended input; only the inline and
     #: delimited modes read it (``None`` in the record-tagged mode).
     delim_mask: np.ndarray | None
     #: ``(n_ext,)`` bool — positions entering the partition.
@@ -373,7 +373,7 @@ class ScanStage(Stage):
 
 
 class TagStage(Stage):
-    """Phase 2: emissions, bitmap indexes and record/column tags."""
+    """Phase 2: emission codes and per-segment record/column tags."""
 
     name = "tag"
     timer_step = "tag"
@@ -516,21 +516,26 @@ class ValidateStage(Stage):
         position is never field data.  It closes the last segment, whose
         tags already name the trailing record's last field, and opens one
         more, empty segment.  Returns ``(data_ext, data_mask, delim_mask,
-        delim_positions, segment_records, segment_columns)``.
+        delim_positions, segment_records, segment_columns)``: the masks
+        from the emission codes (``delim_mask`` only in the modes that
+        keep delimiters), the segments in tagging's index width.
         """
-        delim_mask = None if options.tagging_mode is TaggingMode.TAGGED \
-            else tags.record_delim | tags.field_delim
-        if not tags.has_trailing_record:
-            return (raw, tags.data_mask, delim_mask, tags.delim_positions,
-                    tags.segment_records, tags.segment_columns)
-        data_ext = np.append(raw, np.uint8(
-            options.dialect.record_delimiter_byte))
-        if delim_mask is not None:
-            delim_mask = np.append(delim_mask, True)
-        return (data_ext, np.append(tags.data_mask, False), delim_mask,
-                np.append(tags.delim_positions, raw.size),
-                np.append(tags.segment_records, tags.num_records),
-                np.append(tags.segment_columns, 0))
+        data_ext, data_mask = raw, tags.emissions == np.uint8(Emission.DATA)
+        segments = (tags.delim_positions, tags.segment_records,
+                    tags.segment_columns)
+        if tags.has_trailing_record:
+            data_ext = np.append(raw, np.uint8(
+                options.dialect.record_delimiter_byte))
+            data_mask = np.append(data_mask, False)
+            # Appending a Python int would widen int32 segments to int64.
+            segments = tuple(
+                np.append(array, array.dtype.type(tail)) for array, tail
+                in zip(segments, (raw.size, tags.num_records, 0)))
+        delim_mask = None
+        if options.tagging_mode is not TaggingMode.TAGGED:
+            delim_mask = np.zeros(data_ext.size, dtype=bool)
+            delim_mask[segments[0]] = True
+        return (data_ext, data_mask, delim_mask, *segments)
 
     @staticmethod
     def _segment_ok(segment_columns: np.ndarray,

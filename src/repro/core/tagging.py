@@ -1,15 +1,17 @@
-"""Phase 2 — bitmap indexes and record/column tags (paper §3.1-3.2).
+"""Phase 2 — emission codes and record/column tags (paper §3.1-3.2).
 
 With every chunk's start state known (phase 1), each thread re-simulates a
 *single* DFA instance over its chunk, classifying every symbol via the
-emission table: the three bitmap indexes of §3.1 (record delimiters, field
-delimiters, control symbols).  The §3.2 offset machinery then tags every
+emission table; the three bitmap indexes of §3.1 (record delimiters,
+field delimiters, control symbols) are these codes in boolean form, so
+only the codes are kept.  The §3.2 offset machinery then tags every
 symbol with the record and column it belongs to.
 
 Those tags only change at delimiters, so they are carried once per
 *segment* — the span from just after one delimiter up to and including the
 next — rather than once per symbol: ``O(num_fields)`` memory, expanded
-per symbol only on demand (:attr:`TagResult.record_ids`).
+per symbol only on demand (:attr:`TagResult.record_ids`), and int32
+whenever the input fits (:func:`index_dtype`).
 
 Two implementations produce bit-identical :class:`TagResult` values
 (property tested):
@@ -39,7 +41,14 @@ from repro.dfa.automaton import Dfa, Emission
 from repro.errors import ParseError
 
 __all__ = ["TagResult", "compute_emissions", "tag_global", "tag_chunked",
-           "sweep_chunk_ids", "segment_lengths"]
+           "sweep_chunk_ids", "segment_lengths", "index_dtype",
+           "last_record_delimiter"]
+
+
+def index_dtype(size: int) -> type:
+    """The narrowest of int32/int64 indexing ``size`` positions (and a
+    virtual trailing delimiter at ``size``); later stages keep it."""
+    return np.int32 if size < np.iinfo(np.int32).max else np.int64
 
 
 def segment_lengths(delim_positions: np.ndarray, n: int) -> np.ndarray:
@@ -48,40 +57,48 @@ def segment_lengths(delim_positions: np.ndarray, n: int) -> np.ndarray:
     Segment ``j`` runs from just after delimiter ``j - 1`` up to and
     including delimiter ``j``; the last of the ``m + 1`` segments runs to
     the end of the input and is empty when the input ends on a delimiter.
+    The lengths keep the dtype of ``delim_positions``.
     """
-    return np.diff(delim_positions, prepend=-1, append=n - 1)
+    index = delim_positions.dtype.type
+    return np.diff(delim_positions, prepend=index(-1), append=index(n - 1))
+
+
+def last_record_delimiter(delim_positions: np.ndarray,
+                          segment_records: np.ndarray) -> int:
+    """Position of the last record delimiter, ``-1`` if there is none:
+    the one closing the segment before the last record's first."""
+    records = int(segment_records[-1])
+    if not records:
+        return -1
+    return int(delim_positions[np.searchsorted(segment_records, records) - 1])
 
 
 @dataclass
 class TagResult:
     """Per-symbol classification and per-segment tags for the whole input.
 
-    Bitmaps have input length (padding removed); the tags are stored per
-    segment (:func:`segment_lengths`): every symbol of a segment belongs
-    to the same record and column, a delimiter carrying the tags of the
-    field it terminates.
+    The emission codes, the one per-symbol array, have input length
+    (padding removed); the tags are stored per segment
+    (:func:`segment_lengths`): every symbol of a segment belongs to the
+    same record and column, a delimiter carrying the tags of the field it
+    terminates (its kind is its emission code).
     """
 
     #: ``(n,)`` :class:`~repro.dfa.automaton.Emission` codes.
     emissions: np.ndarray
-    #: ``(n,)`` bool — record-delimiter bitmap index.
-    record_delim: np.ndarray
-    #: ``(n,)`` bool — field-delimiter bitmap index (field delims only).
-    field_delim: np.ndarray
-    #: ``(n,)`` bool — symbol is field data.
-    data_mask: np.ndarray
     #: DFA state after the last input symbol.
     final_state: int
     #: Whether the input ends mid-record (no trailing record delimiter).
     has_trailing_record: bool
     #: Total records, including a trailing unterminated one.
     num_records: int
-    #: ``(m,)`` int64 ascending positions of all delimiters (record or
-    #: field) — the segment boundaries.
+    #: ``(m,)`` ascending positions of all delimiters (record or field)
+    #: — the segment boundaries.  This and the two arrays below share
+    #: one :func:`index_dtype`.
     delim_positions: np.ndarray
-    #: ``(m + 1,)`` int64 — record of every symbol of segment ``j``.
+    #: ``(m + 1,)`` — record of every symbol of segment ``j``.
     segment_records: np.ndarray
-    #: ``(m + 1,)`` int64 — column of every symbol of segment ``j``.
+    #: ``(m + 1,)`` — column of every symbol of segment ``j``.
     segment_columns: np.ndarray
 
     @property
@@ -155,47 +172,30 @@ def compute_emissions(groups: np.ndarray, start_states: np.ndarray,
     return flat, final_state, invalid_position
 
 
-def _bitmaps(emissions: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray]:
-    """The three bitmap indexes of §3.1 from the emission codes."""
-    record_delim = emissions == int(Emission.RECORD_DELIMITER)
-    field_delim = emissions == int(Emission.FIELD_DELIMITER)
-    data_mask = emissions == int(Emission.DATA)
-    return record_delim, field_delim, data_mask
-
-
-def _trailing_record(emissions: np.ndarray, last_record_delim: int) -> bool:
-    """Whether record content follows the last record delimiter.
-
-    Content = DATA, FIELD_DELIMITER or CONTROL emissions (a lone ``\"\"``
-    is a record with one empty field); COMMENT emissions are not content.
-    Only the slice after the last record delimiter is classified — for a
-    delimiter-terminated input that is a handful of bytes, not the whole
-    stream.
-    """
-    tail = emissions[last_record_delim + 1:]
-    content = ((tail == int(Emission.DATA))
-               | (tail == int(Emission.FIELD_DELIMITER))
-               | (tail == int(Emission.CONTROL)))
-    return bool(content.any())
+def _delimiter_positions(emissions: np.ndarray) -> np.ndarray:
+    """Ascending field and record delimiter positions, in the input's
+    :func:`index_dtype`."""
+    # uint8 subtraction wraps DATA (0) to 255, so exactly the codes
+    # FIELD_DELIMITER (1) and RECORD_DELIMITER (2) stay below 2.
+    is_delim = (emissions - np.uint8(Emission.FIELD_DELIMITER)) < 2
+    return np.flatnonzero(is_delim).astype(index_dtype(emissions.size),
+                                           copy=False)
 
 
 def _finalise(emissions: np.ndarray, final_state: int,
-              bitmaps: tuple[np.ndarray, np.ndarray, np.ndarray],
               delim_positions: np.ndarray, segment_records: np.ndarray,
               segment_columns: np.ndarray) -> TagResult:
-    record_delim, field_delim, data_mask = bitmaps
-    record_ends = delim_positions[record_delim[delim_positions]]
-    trailing = _trailing_record(
-        emissions, int(record_ends[-1]) if record_ends.size else -1)
+    # A trailing record is content after the last record delimiter: any
+    # code but COMMENT there (a lone ``""`` is CONTROL, one empty field).
+    # For a delimiter-terminated input the slice is a few bytes.
+    tail = emissions[last_record_delimiter(delim_positions,
+                                           segment_records) + 1:]
+    trailing = bool((tail != np.uint8(Emission.COMMENT)).any())
     return TagResult(
         emissions=emissions,
-        record_delim=record_delim,
-        field_delim=field_delim,
-        data_mask=data_mask,
         final_state=final_state,
         has_trailing_record=trailing,
-        num_records=record_ends.size + (1 if trailing else 0),
+        num_records=int(segment_records[-1]) + (1 if trailing else 0),
         delim_positions=delim_positions,
         segment_records=segment_records,
         segment_columns=segment_columns,
@@ -214,24 +214,24 @@ def tag_global(emissions: np.ndarray, final_state: int) -> TagResult:
       every such delimiter is a field delimiter, so this is the running
       column index, resetting at record boundaries.
 
-    Both are ``O(m)`` prefix sums over the delimiter positions; nothing
-    per-symbol is built beyond the bitmaps.
+    Both are ``O(m)`` prefix sums over the delimiter positions, found in
+    one pass over the emission codes; nothing else per-symbol is built.
     """
-    bitmaps = _bitmaps(emissions)
-    record_delim, field_delim, _ = bitmaps
-    delim_positions = np.flatnonzero(record_delim | field_delim)
+    delim_positions = _delimiter_positions(emissions)
+    index = delim_positions.dtype
     m = delim_positions.size
-    is_record = record_delim[delim_positions]
-    segment_records = np.empty(m + 1, dtype=np.int64)
+    is_record = emissions[delim_positions] \
+        == np.uint8(Emission.RECORD_DELIMITER)
+    segment_records = np.empty(m + 1, dtype=index)
     segment_records[0] = 0
-    np.cumsum(is_record, dtype=np.int64, out=segment_records[1:])
+    np.cumsum(is_record, dtype=index, out=segment_records[1:])
     record_start_delims = np.empty(int(segment_records[-1]) + 1,
-                                   dtype=np.int64)
+                                   dtype=index)
     record_start_delims[0] = 0
     record_start_delims[1:] = np.flatnonzero(is_record) + 1
-    segment_columns = np.arange(m + 1, dtype=np.int64) \
+    segment_columns = np.arange(m + 1, dtype=index) \
         - record_start_delims[segment_records]
-    return _finalise(emissions, final_state, bitmaps, delim_positions,
+    return _finalise(emissions, final_state, delim_positions,
                      segment_records, segment_columns)
 
 
@@ -286,12 +286,12 @@ def tag_chunked(emissions: np.ndarray, final_state: int,
     """Segment tags sampled from the paper's per-chunk tagging sweep.
 
     Runs :func:`sweep_chunk_ids` and reads each segment's tags at its
-    first symbol.
+    first symbol, in the same index width as :func:`tag_global`.
     """
     record_ids, column_ids = sweep_chunk_ids(emissions, chunking)
-    bitmaps = _bitmaps(emissions)
-    record_delim, field_delim, _ = bitmaps
-    delim_positions = np.flatnonzero(record_delim | field_delim)
+    delim_positions = _delimiter_positions(emissions)
+    index = delim_positions.dtype
     segment_starts = np.append(0, delim_positions + 1)
-    return _finalise(emissions, final_state, bitmaps, delim_positions,
-                     record_ids[segment_starts], column_ids[segment_starts])
+    return _finalise(emissions, final_state, delim_positions,
+                     record_ids[segment_starts].astype(index),
+                     column_ids[segment_starts].astype(index))

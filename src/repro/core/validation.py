@@ -6,7 +6,7 @@ drives the automaton into the INV sink) and a *non-accepting end state*
 (truncated quoted field, dangling CR...) are detected as a by-product.
 
 Column-count inference and validation follow §4.3: per-record field counts
-are derived from the delimiter bitmaps; their maximum (a parallel reduction
+are the tagged segments per record; their maximum (a parallel reduction
 in the paper) gives the inferred column count, and deviating records are
 kept, rejected, or escalated per the configured policy.
 """
@@ -55,17 +55,16 @@ class ValidationReport:
 
 
 def record_field_counts(tags: TagResult) -> np.ndarray:
-    """Fields per record: field delimiters within the record plus one.
+    """Fields per record: the segments tagged with the record.
 
-    A per-delimiter count: each field delimiter adds one to the record of
-    the segment it terminates.  Covers the trailing unterminated record;
-    blank-line records count one (empty) field, matching the record
+    Each field is one segment, closed by its delimiter or, in the
+    trailing unterminated record, by the end of the input; a segment
+    after the last record (empty, or a trailing comment) is no field.
+    Blank-line records count one (empty) field, matching the record
     semantics of the tagger.
     """
-    is_field = tags.field_delim[tags.delim_positions]
-    counts = np.bincount(tags.segment_records[:-1][is_field],
-                         minlength=tags.num_records)
-    return counts.astype(np.int64) + 1
+    counts = np.bincount(tags.segment_records, minlength=tags.num_records)
+    return counts[:tags.num_records].astype(np.int64)
 
 
 def validate_input(tags: TagResult, dfa: Dfa,

@@ -25,7 +25,7 @@ phases across a ``ProcessPoolExecutor``:
    process concatenates the emission streams and tags them with
    :func:`~repro.core.tagging.tag_global`, the serial tag stage's
    tagger.  Tags are per delimiter segment (``O(num_fields)``), so
-   that pass is a few whole-input bitmap sweeps.
+   that pass is one whole-input sweep over the emission codes.
 
 Because a shard entering mid-record or mid-quote is resolved exactly like
 a chunk entering mid-record or mid-quote, shard boundaries are arbitrary

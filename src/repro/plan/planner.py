@@ -49,8 +49,8 @@ MiB = 1024 ** 2
 CHUNK_CANDIDATES = (16, 31, 64, 128)
 
 #: Modelled stv+tag speedup of a k-stride sweep over unit stride is
-#: ``k**EXPONENT`` — sublinear, matching the measured BENCH_kernels
-#: speedups (table gathers amortise dispatch but not bandwidth).
+#: ``k**EXPONENT`` — sublinear, matching the measured stride sweeps
+#: (table gathers amortise dispatch but not bandwidth).
 STRIDE_SPEEDUP_EXPONENT = 0.5
 
 #: Modelled partition-cost factor of the ``O(n + fields)`` field-run

@@ -23,6 +23,7 @@ from repro.columnar.table import Table, concat_tables
 from repro.core.options import ParseOptions
 from repro.core.parser import ParPaRawParser
 from repro.core.stages import PipelineContext, RawInput, TaggedInput
+from repro.core.tagging import last_record_delimiter
 from repro.errors import StreamingError
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -237,7 +238,6 @@ class StreamingParser:
                                                              until="tag")
         else:
             tagged = self._executor.execute(ctx, payload, until="tag")
-        boundaries = np.flatnonzero(tagged.tags.record_delim)
-        if boundaries.size == 0:
-            return 0
-        return int(boundaries[-1]) + 1
+        tags = tagged.tags
+        return last_record_delimiter(tags.delim_positions,
+                                     tags.segment_records) + 1

@@ -3,19 +3,21 @@
 The tracemalloc peak of one ``parse`` plus ``write_feather`` on a 1 MiB
 input, divided by the input size, must stay under a per-shape bound, on
 the serial executor and on the sharded one run inline.  The bounds sit
-just above what segment tags, the blocked field-run partition and
-payloads that drop the tag result after validate give: about 7.3 B/B on
-yelp-like input and 11.9 B/B on the many-short-fields taxi and logs
-shapes, where the tag stage now sets the peak.  Per-symbol int64 tags
-put these at 55 and 67 B/B, the partition's two per-symbol prefix sums
-at 12.4 and 25.4 B/B, and payloads that kept the tag result alive
-through partition and convert at 7.6 and 14.7 B/B.  A parse of a large
-input also trims the C heap once, so the freed buffers leave the
-resident set.
+just above what segment tags, the blocked field-run partition, payloads
+that drop the tag result after validate and a tag result of emission
+codes plus int32 segments give: about 5.2 B/B on yelp-like input (4.5
+sharded) and 9.6 B/B on the many-short-fields taxi and logs shapes.
+Per-symbol int64 tags put these at 55 and 67 B/B, the partition's two
+per-symbol prefix sums at 12.4 and 25.4 B/B, payloads that kept the tag
+result alive through partition and convert at 7.6 and 14.7 B/B, and a
+tag result with three per-symbol bitmaps and int64 segments at 7.3 and
+11.9 B/B.  A parse of a large input also trims the C heap once, so the
+freed buffers leave the resident set.
 
-The partition payload itself holds no per-symbol array but its CSS and
-the partition's keep mask: the tag result, the extended input and the
-validate masks are all unreachable from it.
+The tag result holds one per-symbol array, the emission codes, and its
+segment arrays are int32.  The partition payload holds no per-symbol
+array but its CSS and the partition's keep mask: the tag result, the
+extended input and the validate masks are all unreachable from it.
 
 The partition has its own bound: on the validate payload of 1 MiB taxi
 input, ``partition_field_runs`` alone peaks at about 6.4 B/B beyond its
@@ -52,11 +54,11 @@ PIPE = Dialect(delimiter=b"|", quote=None, strip_carriage_return=False)
 
 SHAPES = {
     "yelp": (lambda: generate_yelp_like(MiB, seed=1),
-             ParseOptions(dialect=RFC4180, schema=YELP_SCHEMA), 9),
+             ParseOptions(dialect=RFC4180, schema=YELP_SCHEMA), 6),
     "taxi": (lambda: generate_taxi_like(MiB, seed=1),
-             ParseOptions(dialect=RFC4180, schema=TAXI_SCHEMA), 14),
+             ParseOptions(dialect=RFC4180, schema=TAXI_SCHEMA), 11),
     "logs": (lambda: generate_taxi_like(MiB, seed=1).replace(b",", b"|"),
-             ParseOptions(dialect=PIPE, schema=TAXI_SCHEMA), 14),
+             ParseOptions(dialect=PIPE, schema=TAXI_SCHEMA), 11),
 }
 
 
@@ -108,6 +110,23 @@ def reachable_arrays(obj, seen=None):
         children = list(getattr(obj, "__dict__", {}).values())
     return [array for child in children
             for array in reachable_arrays(child, seen)]
+
+
+@pytest.mark.parametrize("sharded", [False, True],
+                         ids=["serial", "sharded"])
+def test_tag_result_holds_one_symbol_array(sharded):
+    """The tag result keeps the emission codes and the segments only;
+    the §3.1 bitmaps are comparisons its readers make themselves."""
+    data = generate_taxi_like(1 << 16, seed=1)
+    executor = ShardedExecutor(workers=2, use_processes=False) \
+        if sharded else None
+    tags = run_until(data, SHAPES["taxi"][1], "tag", executor).tags
+    per_symbol = [array for array in reachable_arrays(tags)
+                  if array.size >= len(data)]
+    assert [id(array) for array in per_symbol] == [id(tags.emissions)], \
+        [f"{array.dtype}[{array.size}]" for array in per_symbol]
+    assert {tags.delim_positions.dtype, tags.segment_records.dtype,
+            tags.segment_columns.dtype} == {np.dtype(np.int32)}
 
 
 @pytest.mark.parametrize("sharded", [False, True],

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import partition as partition_module
+from repro import ParPaRawParser, ParseOptions
+from repro.columnar.serialize import write_feather
+from repro.core import partition as partition_module, tagging
 from repro.core.partition import (partition_by_column,
                                   partition_field_runs,
                                   stable_radix_sort)
-from repro.core.tagging import segment_lengths
+from repro.core.tagging import index_dtype, segment_lengths
 from repro.errors import ParseError
+from repro.workloads import TAXI_SCHEMA, generate_taxi_like
 
 
 class TestStableRadixSort:
@@ -249,6 +252,58 @@ class TestPartitionFieldRuns:
         b = partition_field_runs(payload, keep, delims, seg_cols,
                                  seg_recs, num_cols)
         assert_same_partition(a, b)
+
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_int32_segments_match_int64(self, data):
+        """Tagging hands over int32 segment arrays whenever the input
+        fits (int64 past 2 GiB); the partition computes in the width it
+        is handed, with the same CSS and field geometry either way."""
+        n = data.draw(st.integers(1, 120))
+        num_cols = data.draw(st.integers(1, 5))
+        payload = data.draw(hnp.arrays(np.uint8, n))
+        delims = np.array(sorted(data.draw(st.sets(
+            st.integers(0, n - 1), max_size=12))), dtype=np.int64)
+        seg_cols = data.draw(hnp.arrays(np.int64, delims.size + 1,
+                                        elements=st.integers(
+                                            0, num_cols - 1)))
+        seg_recs = np.sort(data.draw(hnp.arrays(
+            np.int64, delims.size + 1, elements=st.integers(0, 3))))
+        keep = data.draw(hnp.arrays(np.bool_, n))
+        wide = partition_field_runs(payload, keep, delims, seg_cols,
+                                    seg_recs, num_cols)
+        narrow = partition_field_runs(
+            payload, keep, delims.astype(np.int32),
+            seg_cols.astype(np.int32), seg_recs.astype(np.int32), num_cols)
+        for name in ("field_records", "field_starts", "field_lengths",
+                     "field_sources"):
+            assert getattr(wide, name).dtype == np.int64, name
+            assert getattr(narrow, name).dtype == np.int32, name
+            assert getattr(narrow, name).tolist() \
+                == getattr(wide, name).tolist(), name
+        assert narrow.field_bounds.tolist() == wide.field_bounds.tolist()
+        assert_same_partition(narrow, wide)
+
+    def test_index_width_rule(self):
+        limit = int(np.iinfo(np.int32).max)
+        assert index_dtype(0) is np.int32
+        # A virtual trailing delimiter at position ``size`` must fit too.
+        assert index_dtype(limit - 1) is np.int32
+        assert index_dtype(limit) is np.int64
+        assert index_dtype(3 << 30) is np.int64
+
+    def test_int64_tags_parse_identically(self, monkeypatch):
+        """The past-2 GiB width, forced on a small input, runs validate,
+        partition and convert to the same bytes."""
+        data = generate_taxi_like(1 << 14, seed=1)
+        options = ParseOptions(schema=TAXI_SCHEMA)
+        expected = write_feather(ParPaRawParser(options).parse(data).table)
+        monkeypatch.setattr(tagging, "index_dtype", lambda size: np.int64)
+        emissions = np.frombuffer(b"\x00\x01\x00\x02", dtype=np.uint8)
+        assert tagging.tag_global(emissions, 0).segment_records.dtype \
+            == np.int64
+        assert write_feather(ParPaRawParser(options).parse(data).table) \
+            == expected
 
     def test_empty_input(self):
         part = field_runs(np.zeros(0, dtype=np.uint8),

@@ -144,9 +144,9 @@ class TestChunkedEqualsGlobal:
         assert a.column_ids.tolist() == b.column_ids.tolist()
         assert a.num_records == b.num_records
         assert a.has_trailing_record == b.has_trailing_record
-        assert np.array_equal(a.record_delim, b.record_delim)
-        assert np.array_equal(a.field_delim, b.field_delim)
-        assert np.array_equal(a.data_mask, b.data_mask)
+        assert np.array_equal(a.delim_positions, b.delim_positions)
+        assert np.array_equal(a.segment_records, b.segment_records)
+        assert np.array_equal(a.segment_columns, b.segment_columns)
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 3, 10, 31, 64, 1000])
     def test_paper_example_all_chunk_sizes(self, chunk_size, paper_example):

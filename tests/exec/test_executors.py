@@ -133,8 +133,6 @@ class TestTrickyCorpus:
                                               oracle.segment_records)
                 np.testing.assert_array_equal(merged.segment_columns,
                                               oracle.segment_columns)
-                np.testing.assert_array_equal(merged.data_mask,
-                                              oracle.data_mask)
                 assert merged.num_records == oracle.num_records
                 assert merged.has_trailing_record \
                     == oracle.has_trailing_record

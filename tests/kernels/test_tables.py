@@ -143,6 +143,13 @@ class TestStrideSelection:
         with pytest.raises(ParseError):
             resolve_stride(64, padded_csv_dfa)
 
+    def test_auto_reaches_k8_on_pipe_logs(self):
+        """The pipe-delimited, unquoted ``logs`` automaton minimises to
+        one state, so its whole k=8 ladder fits the default budget."""
+        logs = Dialect(delimiter=b"|", quote=None,
+                       strip_carriage_return=False)
+        assert ParseOptions(dialect=logs).resolved_stride() == 8
+
 
 def test_pack_plan_big_endian(padded_csv_dfa):
     g = padded_csv_dfa.num_groups
