@@ -16,16 +16,17 @@ from conftest import run_benchmark
 
 from repro import ParPaRawParser, ParseOptions
 from repro.core.chunking import Chunking
-from repro.core.partition import stable_radix_sort
 from repro.core.stages import PipelineContext, RawInput
-from repro.core.tagging import tag_chunked, tag_global
+from repro.core.tagging import tag_global
 from repro.exec import SerialExecutor
-from repro.scan.blelloch import blelloch_scan
-from repro.scan.decoupled_lookback import single_pass_scan
-from repro.scan.hillis_steele import hillis_steele_scan
-from repro.scan.numpy_scan import scan_transition_vectors
-from repro.scan.operators import SumMonoid, TransitionComposeMonoid
-from repro.scan.sequential import exclusive_scan
+from repro.reference.core.partition import stable_radix_sort
+from repro.reference.core.tagging import tag_chunked
+from repro.reference.scan.blelloch import blelloch_scan
+from repro.reference.scan.decoupled_lookback import single_pass_scan
+from repro.reference.scan.hillis_steele import hillis_steele_scan
+from repro.reference.scan.numpy_scan import scan_transition_vectors
+from repro.reference.scan.operators import SumMonoid, TransitionComposeMonoid
+from repro.reference.scan.sequential import exclusive_scan
 from repro.utils.timing import StepTimer
 
 

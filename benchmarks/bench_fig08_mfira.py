@@ -10,8 +10,8 @@ a GPU; a Python list stands in for "if they could").
 import pytest
 
 from repro.dfa import rfc4180_dfa
-from repro.gpusim.mfira import Mfira
-from repro.gpusim.thread_sim import GpuThread
+from repro.reference.gpusim.mfira import Mfira
+from repro.reference.gpusim.thread_sim import GpuThread
 from repro.workloads import generate_yelp_like
 
 from conftest import write_report

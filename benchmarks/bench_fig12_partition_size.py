@@ -14,7 +14,7 @@ import pytest
 from repro import ParseOptions, StreamingParser
 from repro.gpusim.cost_model import WorkloadStats
 from repro.obs import MetricsRegistry, validate_chrome_trace, write_chrome_trace
-from repro.streaming import StreamingPipeline
+from repro.reference.streaming.pipeline import StreamingPipeline
 from repro.workloads import generate_yelp_like
 
 from conftest import GB, MB, run_benchmark, write_report

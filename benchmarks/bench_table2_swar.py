@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.dfa import rfc4180_dfa
-from repro.gpusim.swar import SwarMatcher
+from repro.reference.gpusim.swar import SwarMatcher
 
 from conftest import write_report
 

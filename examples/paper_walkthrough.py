@@ -20,12 +20,13 @@ import numpy as np
 
 from repro import rfc4180_dfa
 from repro.core.chunking import chunk_groups
-from repro.core.context import compute_transition_vectors, \
-    chunk_start_states
-from repro.core.offsets import compute_chunk_offsets
-from repro.core.partition import partition_by_column
+from repro.core.context import chunk_start_states
 from repro.core.css import tagged_index
-from repro.core.tagging import compute_emissions, tag_global
+from repro.core.tagging import tag_global
+from repro.reference.core.context import compute_transition_vectors
+from repro.reference.core.offsets import compute_chunk_offsets
+from repro.reference.core.partition import partition_by_column
+from repro.reference.core.tagging import compute_emissions
 from repro.dfa.automaton import Emission
 
 DATA = b'1941,199.99,"Bookcase"\n1938,19.99,"Frame\n""Ribba"", black"\n'

@@ -11,7 +11,7 @@ Run: ``python examples/streaming_ingest.py``
 
 from repro import ParPaRawParser, ParseOptions, StreamingParser
 from repro.gpusim.cost_model import WorkloadStats
-from repro.streaming import StreamingPipeline
+from repro.reference.streaming.pipeline import StreamingPipeline
 from repro.workloads import YELP_SCHEMA, generate_yelp_like
 
 MB = 1024 ** 2

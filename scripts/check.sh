@@ -32,22 +32,39 @@ for code in PPR601 PPR602 PPR603 PPR604 PPR605 PPR606; do
     esac
 done
 echo "parlint corpus smoke: PPR601-606 all caught"
+# Layering tier: the production closure — the repro modules a fresh
+# interpreter loads for `import repro, repro.__main__, repro.serve,
+# repro.exec.sharded` — must hold no reference code, and PPR503 must
+# reject a production module importing repro.reference (corpus case).
+# The oracles and figure code live there: the unit-stride STV/emission
+# sweeps (reference.core.context, reference.core.tagging), the chunked
+# tagger (reference.core.tagging.tag_chunked), the radix-sort partition
+# (reference.core.partition), Hopcroft (reference.dfa.minimize), the
+# scalar scans (reference.scan), MFIRA/SWAR (reference.gpusim) and the
+# Figure 7 simulator (reference.streaming).  Prints the closure's size.
+python tests/test_production_closure.py
+python -m pytest tests/test_production_closure.py \
+    "tests/analysis/test_parlint.py::TestCorpus::test_production_imports_reference" \
+    -q
 # Law tier: exhaustive associativity+identity proofs for every
 # registered scan operator (licenses the parallel scans of paper §2).
 python -m pytest tests/analysis/test_operator_laws.py -q
 # DFA proof tier: minimisation must preserve behaviour for every shipped
-# automaton (equivalence vs the canonical form, idempotence, Hopcroft vs
-# data-parallel engine agreement, registry distinctness, strict
+# automaton (equivalence vs the canonical form, idempotence, Hopcroft
+# oracle in reference.dfa.minimize vs the data-parallel engine,
+# registry distinctness, strict
 # inclusion) — what licenses every parse sweeping the minimised
 # automaton (minimisation is not optional).
 python -m pytest tests/analysis/test_dfa_proofs.py -q
 # Kernel tier: kernel plans at every stride (the empty k=1 plan up to
 # the mixed-stride k=8 SWAR ladder) must be bit-identical to the
-# unit-stride oracles (STVs, emissions, final state, invalid position;
-# both executors; minimised and raw automata).
+# unit-stride oracles in reference.core.context and reference.core.tagging
+# (STVs, emissions, final state, invalid position; both executors;
+# minimised and raw automata).
 python -m pytest tests/kernels/test_parity.py -q
 # Scan tier: the reduce-then-walk context scan must match the scalar
-# Hillis-Steele and sequential composition scans (any state count, chunk
+# Hillis-Steele and sequential composition scans of reference.scan (any
+# state count, chunk
 # counts at every block edge, one or all start states), give every chunk
 # its sequential start state through both executors, and stay within
 # 2.5x the chunk vectors' bytes at peak.
@@ -55,10 +72,10 @@ python -m pytest tests/scan/test_numpy_scan.py tests/core/test_context.py \
     tests/exec/test_executors.py \
     "tests/core/test_memory_bound.py::test_scan_peak_per_vector_byte" -q
 # Partition tier (pipeline partition vs radix oracle): the pipeline's
-# field-run partition must be bit-identical to the stable radix sort
-# (css, record tags, offsets, order) across dialects, tagging modes and
-# executors, and the global tagger must match the paper's chunked one,
-# which survives only as this oracle.  int32 and int64 segment arrays
+# field-run partition must be bit-identical to the stable radix sort of
+# reference.core.partition (css, record tags, offsets, order) across
+# dialects, tagging modes and executors, and the global tagger must match
+# the paper's chunked one, reference.core.tagging.tag_chunked.  int32 and int64 segment arrays
 # must partition identically (tagging picks int32 whenever the input
 # fits).  The partition alone and the whole parse, serial and sharded
 # inline, must stay within their per-input-byte peak bounds; the tag

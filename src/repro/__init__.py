@@ -25,10 +25,12 @@ Main entry points:
 * :mod:`repro.exec` — pluggable execution backends
   (:class:`repro.SerialExecutor`, :class:`repro.ShardedExecutor`);
 * :mod:`repro.dfa` — custom parsing rules as DFAs;
-* :mod:`repro.gpusim` — the GPU execution model and data structures
-  (MFIRA, SWAR);
+* :mod:`repro.gpusim` — the GPU execution model;
 * :mod:`repro.baselines` — comparison parsers;
-* :mod:`repro.workloads` — synthetic dataset generators.
+* :mod:`repro.workloads` — synthetic dataset generators;
+* :mod:`repro.reference` — test oracles and paper-figure code (the GPU
+  data structures MFIRA and SWAR, the scalar scans, the Figure 7
+  simulator); never imported by the parse path.
 """
 
 from repro.columnar import Column, DataType, Field, Schema, Table

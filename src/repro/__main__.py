@@ -65,7 +65,6 @@ from repro.obs import (
     render_text_report,
     write_chrome_trace,
 )
-from repro.streaming import StreamingPipeline
 
 MB = 1024 ** 2
 
@@ -225,6 +224,11 @@ def cmd_sniff(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # The Figure 7 simulator is reference code, loaded only by this
+    # subcommand (the parse path never imports repro.reference).
+    from repro.reference.streaming.pipeline import (RESOURCES,
+                                                    StreamingPipeline)
+
     factory = WorkloadStats.yelp_like if args.dataset == "yelp" \
         else WorkloadStats.taxi_like
     stats = factory(args.size_mb * MB, chunk_size=args.chunk)
@@ -244,7 +248,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
           f"{schedule.makespan:.3f} s")
 
     if args.trace or args.metrics:
-        from repro.streaming.pipeline import RESOURCES
         metrics = MetricsRegistry()
         metrics.gauge("sim.makespan_seconds", schedule.makespan)
         metrics.gauge("sim.overlap_efficiency",

@@ -75,9 +75,18 @@ ALLOWED_LAYER_IMPORTS: dict[str, frozenset[str]] = {
     "repro.workloads": frozenset({"repro.scan", "repro.columnar",
                                   "repro.dfa", "repro.gpusim",
                                   "repro.core"}),
+    # Test oracles and figure code: they may use any production layer,
+    # and no production package may import them back (the root package
+    # and __main__ are outside this table; only `simulate` loads the
+    # Figure 7 simulator, inside the function).
+    "repro.reference": frozenset({"repro.scan", "repro.columnar",
+                                  "repro.dfa", "repro.gpusim",
+                                  "repro.kernels", "repro.core",
+                                  "repro.obs"}),
     "repro.analysis": frozenset({"repro.scan", "repro.columnar",
                                  "repro.dfa", "repro.gpusim",
-                                 "repro.core", "repro.exec"}),
+                                 "repro.core", "repro.exec",
+                                 "repro.reference"}),
 }
 
 

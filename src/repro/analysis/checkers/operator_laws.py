@@ -16,9 +16,9 @@ code and that precondition:
   STV-composition and rel/abs-offset laws on every run (the test tier
   re-proves them under pytest).
 
-``typing.Protocol`` classes (the :class:`~repro.scan.operators.Monoid`
-structural type itself) are exempt — they declare the shape, they are
-not operators.
+``typing.Protocol`` classes (the
+:class:`~repro.reference.scan.operators.Monoid` structural type itself)
+are exempt — they declare the shape, they are not operators.
 """
 
 from __future__ import annotations

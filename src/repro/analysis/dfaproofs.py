@@ -7,10 +7,11 @@ substitution* the pipeline always performs — every sweep runs over
 dialect DFA, so the whole parse is only correct if that substitution is
 behaviour-preserving for every automaton we ship.
 
-The proofs quantify over :data:`repro.dfa.registry.REGISTERED_AUTOMATA`
-(the ground truth for "which dialects exist") and are exhaustive, not
-sampled: behavioural equivalence is decided by product-automaton
-refinement over all 256 byte values from every reachable state pair,
+The proofs quantify over
+:data:`repro.reference.dfa.registry.REGISTERED_AUTOMATA` (the ground truth
+for "which dialects exist") and are exhaustive, not sampled: behavioural
+equivalence is decided by product-automaton refinement over all 256 byte
+values from every reachable state pair,
 which for a DFA is a complete decision procedure.
 
 Per registered automaton ``d``:
@@ -23,7 +24,7 @@ Per registered automaton ``d``:
   behavioural fingerprint would not be stable under re-canonicalisation.
 * **engine agreement** — the data-parallel refinement and Hopcroft's
   worklist algorithm compute the same partition
-  (:func:`repro.dfa.minimize.same_partition`).  Two independent
+  (:func:`repro.reference.dfa.minimize.same_partition`).  Two independent
   implementations of the same fixpoint cross-check each other.
 
 Across automata:
@@ -56,13 +57,12 @@ from repro.dfa.builder import DfaBuilder
 from repro.dfa.minimize import (
     canonicalize,
     equivalent,
-    hopcroft_partition,
     included,
     is_canonical,
     parallel_partition,
-    same_partition,
 )
-from repro.dfa.registry import registered_dfas
+from repro.reference.dfa.minimize import hopcroft_partition, same_partition
+from repro.reference.dfa.registry import registered_dfas
 
 __all__ = ["ProofViolation", "lenient_rfc4180_dfa", "verify_automaton",
            "verify_distinctness", "verify_inclusion", "verify_all"]

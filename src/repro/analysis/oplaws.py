@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Sequence
 
-from repro.scan.operators import (
+from repro.reference.scan.operators import (
     ColumnOffset,
     ColumnOffsetMonoid,
     MaxMonoid,
@@ -40,7 +40,7 @@ from repro.scan.operators import (
     SumMonoid,
     TransitionComposeMonoid,
 )
-from repro.scan.segmented import SegmentedMonoid
+from repro.reference.scan.segmented import SegmentedMonoid
 
 __all__ = ["LawSpec", "LAW_SPECS", "LawViolation", "check_monoid_laws",
            "verify_all_registered"]
@@ -106,7 +106,7 @@ def _int_domain() -> list[int]:
 LAW_SPECS: dict[str, LawSpec] = {spec.class_name: spec for spec in (
     LawSpec(
         class_name="TransitionComposeMonoid",
-        module="repro.scan.operators",
+        module="repro.reference.scan.operators",
         factory=lambda: TransitionComposeMonoid(3),
         domain=lambda: _stv_domain(3),
         rationale="all 27 functions on a 3-state set; composition is "
@@ -116,7 +116,7 @@ LAW_SPECS: dict[str, LawSpec] = {spec.class_name: spec for spec in (
     ),
     LawSpec(
         class_name="ColumnOffsetMonoid",
-        module="repro.scan.operators",
+        module="repro.reference.scan.operators",
         factory=ColumnOffsetMonoid,
         domain=lambda: _offset_domain(3),
         rationale="every rel/abs kind with offsets 0..3; the operator "
@@ -125,14 +125,14 @@ LAW_SPECS: dict[str, LawSpec] = {spec.class_name: spec for spec in (
     ),
     LawSpec(
         class_name="SumMonoid",
-        module="repro.scan.operators",
+        module="repro.reference.scan.operators",
         factory=SumMonoid,
         domain=_int_domain,
         rationale="integer addition over a sign-mixed sample",
     ),
     LawSpec(
         class_name="MaxMonoid",
-        module="repro.scan.operators",
+        module="repro.reference.scan.operators",
         factory=MaxMonoid,
         domain=_int_domain,
         rationale="max over a sign-mixed sample (identity is the "
@@ -140,7 +140,7 @@ LAW_SPECS: dict[str, LawSpec] = {spec.class_name: spec for spec in (
     ),
     LawSpec(
         class_name="MinMonoid",
-        module="repro.scan.operators",
+        module="repro.reference.scan.operators",
         factory=MinMonoid,
         domain=_int_domain,
         rationale="min over a sign-mixed sample (identity is the "
@@ -148,7 +148,7 @@ LAW_SPECS: dict[str, LawSpec] = {spec.class_name: spec for spec in (
     ),
     LawSpec(
         class_name="SegmentedMonoid",
-        module="repro.scan.segmented",
+        module="repro.reference.scan.segmented",
         factory=lambda: SegmentedMonoid(SumMonoid()),
         domain=lambda: _segmented_domain(2),
         rationale="the segmented lift over addition: every flag "

@@ -22,7 +22,7 @@ The per-dataset rates capture each system's sensitivity to the workload
 shape (text-heavy quoted fields vs many small numeric fields); durations
 for other input sizes extrapolate linearly plus a fixed startup cost.
 ParPaRaw itself is *not* modelled here — the streaming pipeline simulation
-(:mod:`repro.streaming.pipeline`) produces its end-to-end time.
+(:mod:`repro.reference.streaming.pipeline`) produces its end-to-end time.
 """
 
 from __future__ import annotations

@@ -13,9 +13,11 @@ blocks of STVs reduce to composites, a walk over the composites gives
 each block's entering state, and one state per block is carried through
 its chunks.
 
-The batched STV computation iterates over the *chunk-local* byte positions
-(a loop of ``chunk_size`` steps) while operating on all chunks at once —
-the NumPy translation of "every thread reads its chunk in lock step".
+The STVs themselves come from the kernel plans of
+:mod:`repro.kernels.strided`; the unit-stride sweep they are tested
+against, a loop of ``chunk_size`` steps over all chunks at once (the
+NumPy translation of "every thread reads its chunk in lock step"), is
+:func:`repro.reference.core.context.compute_transition_vectors`.
 """
 
 from __future__ import annotations
@@ -27,31 +29,7 @@ import numpy as np
 from repro.dfa.automaton import Dfa
 from repro.scan.numpy_scan import entering_states
 
-__all__ = [
-    "compute_transition_vectors",
-    "chunk_start_states",
-    "determine_contexts",
-]
-
-
-def compute_transition_vectors(groups: np.ndarray, dfa: Dfa) -> np.ndarray:
-    """STVs for all chunks: ``(num_chunks, num_states)`` uint8.
-
-    ``groups`` is the ``(num_chunks, chunk_size)`` symbol-group matrix
-    (padding included).  Row ``c`` of the result maps a start state to the
-    state after chunk ``c`` — the per-thread phase-1 output.
-    """
-    if groups.ndim != 2:
-        raise ValueError("expected a (num_chunks, chunk_size) matrix")
-    num_chunks, chunk_size = groups.shape
-    transitions = dfa.transitions  # (num_groups, num_states)
-    vectors = np.broadcast_to(
-        np.arange(dfa.num_states, dtype=np.uint8),
-        (num_chunks, dfa.num_states)).copy()
-    for j in range(chunk_size):  # parlint: disable=PPR401 -- per-thread serial depth of paper alg. 1; vectorised over the num_chunks axis
-        # All threads advance their |S| DFA instances by one symbol.
-        vectors = transitions[groups[:, j, None], vectors]
-    return vectors
+__all__ = ["chunk_start_states"]
 
 
 def chunk_start_states(vectors: np.ndarray, dfa: Dfa) -> np.ndarray:
@@ -65,10 +43,3 @@ def chunk_start_states(vectors: np.ndarray, dfa: Dfa) -> np.ndarray:
     """
     rows = entering_states(vectors, [dfa.start_state])
     return rows[:-1, 0].astype(np.uint8, copy=False)
-
-
-def determine_contexts(groups: np.ndarray,
-                       dfa: Dfa) -> tuple[np.ndarray, np.ndarray]:
-    """Phase 1 in one call: (STVs, per-chunk start states)."""
-    vectors = compute_transition_vectors(groups, dfa)
-    return vectors, chunk_start_states(vectors, dfa)

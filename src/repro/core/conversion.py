@@ -16,10 +16,11 @@ output: a typed data buffer + validity bitmap per column.  The pipeline:
    and count as *rejects* (the per-thread reject flags of Figure 5).
 
 **Collaboration levels** (paper §3.3): fields are classified by symbol
-count into thread-exclusive, block-level (above ``block_threshold``) and
-device-level (above ``device_threshold``) work.  In this reproduction all
-three classes produce values through the same vectorised kernels — NumPy
-already is the "device-wide collaboration" — but the classification is
+count into thread-exclusive, block-level (above :data:`BLOCK_THRESHOLD`)
+and device-level (above :data:`DEVICE_THRESHOLD`) work.  In this
+reproduction all three classes produce values through the same vectorised
+kernels — NumPy already is the "device-wide collaboration" — but the
+classification is
 tracked per column (:class:`CollaborationStats`) and drives the GPU cost
 model and the skew experiments (Figure 11 right).
 """
@@ -52,7 +53,14 @@ from repro.core.vector_convert import (
 from repro.errors import ConversionError
 from repro.scan.numpy_scan import exclusive_sum
 
-__all__ = ["CollaborationStats", "ConvertStats", "convert_column"]
+__all__ = ["BLOCK_THRESHOLD", "DEVICE_THRESHOLD", "CollaborationStats",
+           "ConvertStats", "convert_column"]
+
+#: Field length (bytes) above which a field's value generation is
+#: block-level collaboration (paper §3.3).
+BLOCK_THRESHOLD = 256
+#: Field length (bytes) above which it is device-level collaboration.
+DEVICE_THRESHOLD = 48 * 1024
 
 
 @dataclass
@@ -89,10 +97,9 @@ class ConvertStats:
     zero_copy_columns: int = 0
 
 
-def _classify_collaboration(lengths: np.ndarray,
-                            options: ParseOptions) -> CollaborationStats:
-    device = int(np.count_nonzero(lengths > options.device_threshold))
-    block = int(np.count_nonzero(lengths > options.block_threshold)) - device
+def _classify_collaboration(lengths: np.ndarray) -> CollaborationStats:
+    device = int(np.count_nonzero(lengths > DEVICE_THRESHOLD))
+    block = int(np.count_nonzero(lengths > BLOCK_THRESHOLD)) - device
     thread = int(lengths.size) - block - device
     return CollaborationStats(thread_fields=thread, block_fields=block,
                               device_fields=device)
@@ -177,8 +184,7 @@ def convert_column(field: Field, css: np.ndarray, index: ColumnIndex,
     num_rows:
         Output row count.
     options:
-        Parse options (NULL literals, collaboration thresholds,
-        strictness).
+        Parse options (NULL literals, strictness).
     convert_stats:
         Optional accumulator for byte-copy accounting (the convert
         stage's ``convert.bytes.copied`` / ``convert.zero_copy_columns``
@@ -192,7 +198,7 @@ def convert_column(field: Field, css: np.ndarray, index: ColumnIndex,
     starts = index.offsets[keep]
     lengths = index.lengths[keep]
     out_rows = rows[keep]
-    stats = _classify_collaboration(lengths, options)
+    stats = _classify_collaboration(lengths)
 
     # NULL literals: matching fields become NULL before conversion and
     # never count as rejects (paper §3.3, "identifying NULLs").

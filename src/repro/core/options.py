@@ -124,9 +124,6 @@ class ParseOptions:
         validity bit even when the column has a default (defaults apply
         to *missing/empty* fields only).  Paper §3.3 lists "identifying
         NULLs" among the per-column conversion duties.
-    block_threshold / device_threshold:
-        Field-length thresholds (bytes) above which value generation is
-        deferred to block-level / device-level collaboration (§3.3).
     plan:
         ``"auto"`` lets the self-tuning planner (:mod:`repro.plan`)
         probe the input and override the performance knobs
@@ -153,8 +150,6 @@ class ParseOptions:
     select_columns: tuple[int, ...] | None = None
     infer_types: bool = False
     null_literals: tuple[str, ...] = ()
-    block_threshold: int = 256
-    device_threshold: int = 48 * 1024
     plan: str | None = None
 
     def __post_init__(self) -> None:
@@ -166,10 +161,6 @@ class ParseOptions:
             raise ParseError("kernel_table_budget must be positive")
         if not 0 <= self.inline_terminator <= 0xFF:
             raise ParseError("inline_terminator must be one byte")
-        if self.block_threshold <= 0 \
-                or self.device_threshold <= self.block_threshold:
-            raise ParseError(
-                "thresholds must satisfy 0 < block < device")
         if self.select_columns is not None:
             if any(c < 0 for c in self.select_columns):
                 raise SchemaError("selected column indexes must be >= 0")

@@ -575,8 +575,8 @@ class PartitionStage(Stage):
     Partitions the delimiter segments as field runs
     (:func:`~repro.core.partition.partition_field_runs`), bit-identical
     to the paper's stable radix sort over the same tags expanded per
-    symbol (:func:`~repro.core.partition.partition_by_column`, the test
-    oracle).
+    symbol (the test oracle,
+    :func:`~repro.reference.core.partition.partition_by_column`).
     """
 
     name = "partition"

@@ -13,18 +13,11 @@ next — rather than once per symbol: ``O(num_fields)`` memory, expanded
 per symbol only on demand (:attr:`TagResult.record_ids`), and int32
 whenever the input fits (:func:`index_dtype`).
 
-Two implementations produce bit-identical :class:`TagResult` values
-(property tested):
-
-* :func:`tag_global` — computes the segment tags from the delimiter
-  positions with two small prefix sums.  Every parse runs it, on both
-  executors.
-* :func:`tag_chunked` — the paper's formulation: per-chunk counts and
-  rel/abs offsets, prefix scans across chunks (:mod:`repro.core.offsets`),
-  then a per-chunk tagging sweep seeded with the scanned offsets, sampled
-  at the segment starts.  Structurally identical to the GPU kernels; the
-  test oracle for :func:`tag_global` and the ablation benchmark's
-  comparison point.
+:func:`tag_global` computes the segment tags from the delimiter positions
+with two small prefix sums; every parse runs it, on both executors.  The
+paper's per-chunk formulation (rel/abs offset scans and a tagging sweep
+seeded with them) is :func:`repro.reference.core.tagging.tag_chunked`,
+its bit-identical test oracle.
 """
 
 from __future__ import annotations
@@ -35,13 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.chunking import Chunking
-from repro.core.offsets import compute_chunk_offsets
-from repro.dfa.automaton import Dfa, Emission
-from repro.errors import ParseError
+from repro.dfa.automaton import Emission
 
-__all__ = ["TagResult", "compute_emissions", "tag_global", "tag_chunked",
-           "sweep_chunk_ids", "segment_lengths", "index_dtype",
+__all__ = ["TagResult", "tag_global", "segment_lengths", "index_dtype",
            "last_record_delimiter"]
 
 
@@ -120,66 +109,13 @@ class TagResult:
         return segment_lengths(self.delim_positions, self.emissions.size)
 
 
-def compute_emissions(groups: np.ndarray, start_states: np.ndarray,
-                      dfa: Dfa, chunking: Chunking
-                      ) -> tuple[np.ndarray, int, int | None]:
-    """Re-simulate one DFA instance per chunk, emitting classifications.
-
-    Parameters
-    ----------
-    groups:
-        ``(num_chunks, chunk_size)`` symbol-group matrix (with padding).
-    start_states:
-        ``(num_chunks,)`` per-chunk start states from phase 1.
-    dfa:
-        The padded automaton (must include the padding group).
-    chunking:
-        Geometry, to strip the padding from the result.
-
-    Returns
-    -------
-    (emissions, final_state, invalid_position)
-        Flat ``(input_bytes,)`` uint8 emissions, the automaton's state
-        after the last real symbol, and the first byte offset at which the
-        automaton sat in the INV sink (``None`` if never) — the format
-        validation of paper §4.3 as a by-product of tagging.
-    """
-    num_chunks, chunk_size = groups.shape
-    states = start_states.astype(np.uint8).copy()
-    emissions = np.empty((num_chunks, chunk_size), dtype=np.uint8)
-    transitions = dfa.transitions
-    emission_table = dfa.emissions
-    invalid = dfa.invalid_state
-    first_invalid = np.full(num_chunks, -1, dtype=np.int64)
-    for j in range(chunk_size):  # parlint: disable=PPR401 -- per-thread serial depth of the tagging sweep; vectorised over num_chunks
-        g = groups[:, j]
-        emissions[:, j] = emission_table[states, g]
-        if invalid is not None:
-            newly = (states == invalid) & (first_invalid < 0)
-            first_invalid[newly] = j
-        states = transitions[g, states]
-    final_state = int(states[-1])
-    flat = emissions.reshape(-1)[:chunking.input_bytes]
-
-    invalid_position: int | None = None
-    if invalid is not None:
-        hit = np.flatnonzero(first_invalid >= 0)
-        if hit.size:
-            chunk = int(hit[0])
-            position = chunk * chunk_size + int(first_invalid[chunk])
-            if position < chunking.input_bytes:
-                invalid_position = position
-    return flat, final_state, invalid_position
-
-
 def _delimiter_positions(emissions: np.ndarray) -> np.ndarray:
-    """Ascending field and record delimiter positions, in the input's
-    :func:`index_dtype`."""
+    """Ascending field and record delimiter positions as intp, the width
+    NumPy gathers with; narrow to :func:`index_dtype` to keep them."""
     # uint8 subtraction wraps DATA (0) to 255, so exactly the codes
     # FIELD_DELIMITER (1) and RECORD_DELIMITER (2) stay below 2.
     is_delim = (emissions - np.uint8(Emission.FIELD_DELIMITER)) < 2
-    return np.flatnonzero(is_delim).astype(index_dtype(emissions.size),
-                                           copy=False)
+    return np.flatnonzero(is_delim)
 
 
 def _finalise(emissions: np.ndarray, final_state: int,
@@ -218,10 +154,13 @@ def tag_global(emissions: np.ndarray, final_state: int) -> TagResult:
     one pass over the emission codes; nothing else per-symbol is built.
     """
     delim_positions = _delimiter_positions(emissions)
-    index = delim_positions.dtype
+    index = index_dtype(emissions.size)
     m = delim_positions.size
+    # Gather with the intp positions: an int32 index array would be cast
+    # back to intp first.  Narrow only afterwards.
     is_record = emissions[delim_positions] \
         == np.uint8(Emission.RECORD_DELIMITER)
+    delim_positions = delim_positions.astype(index, copy=False)
     segment_records = np.empty(m + 1, dtype=index)
     segment_records[0] = 0
     np.cumsum(is_record, dtype=index, out=segment_records[1:])
@@ -233,65 +172,3 @@ def tag_global(emissions: np.ndarray, final_state: int) -> TagResult:
         - record_start_delims[segment_records]
     return _finalise(emissions, final_state, delim_positions,
                      segment_records, segment_columns)
-
-
-def sweep_chunk_ids(emissions: np.ndarray, chunking: Chunking
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-symbol record/column ids via the paper's per-chunk offsets.
-
-    Pads the emission stream back to the chunk grid, computes each chunk's
-    record count and rel/abs column offset, scans both across chunks
-    (:func:`~repro.core.offsets.compute_chunk_offsets`), then assigns ids
-    in one data-parallel sweep over chunk-local positions with per-chunk
-    running counters seeded from the scans.
-
-    Returns ``(record_ids, column_ids)`` of length ``n + 1``: entry ``n``
-    holds the counters after the last symbol, the tags of an empty
-    trailing segment.
-    """
-    n = emissions.size
-    if n != chunking.input_bytes:
-        raise ParseError("emission stream does not match the chunking")
-    num_chunks, chunk_size = chunking.num_chunks, chunking.chunk_size
-    padded = np.full(num_chunks * chunk_size, int(Emission.COMMENT),
-                     dtype=np.uint8)
-    padded[:n] = emissions
-    grid = padded.reshape(num_chunks, chunk_size)
-
-    record_delim = grid == int(Emission.RECORD_DELIMITER)
-    field_delim = grid == int(Emission.FIELD_DELIMITER)
-    offsets = compute_chunk_offsets(record_delim, field_delim)
-
-    # Per-chunk tagging sweep: every thread walks its chunk with a record
-    # counter and a column counter seeded by the scanned offsets.
-    record_counter = offsets.record_offsets.copy()
-    column_counter = offsets.entering_column_offsets.copy()
-    record_ids = np.empty((num_chunks, chunk_size), dtype=np.int64)
-    column_ids = np.empty((num_chunks, chunk_size), dtype=np.int64)
-    for j in range(chunk_size):  # parlint: disable=PPR401 -- per-thread serial depth of the tagging sweep; vectorised over num_chunks
-        record_ids[:, j] = record_counter
-        column_ids[:, j] = column_counter
-        is_record = record_delim[:, j]
-        is_field = field_delim[:, j]
-        record_counter = record_counter + is_record
-        column_counter = np.where(is_record, 0,
-                                  column_counter + is_field)
-    # Padding is COMMENT, so the last chunk's counters are the input's.
-    return (np.append(record_ids.reshape(-1)[:n], record_counter[-1]),
-            np.append(column_ids.reshape(-1)[:n], column_counter[-1]))
-
-
-def tag_chunked(emissions: np.ndarray, final_state: int,
-                chunking: Chunking) -> TagResult:
-    """Segment tags sampled from the paper's per-chunk tagging sweep.
-
-    Runs :func:`sweep_chunk_ids` and reads each segment's tags at its
-    first symbol, in the same index width as :func:`tag_global`.
-    """
-    record_ids, column_ids = sweep_chunk_ids(emissions, chunking)
-    delim_positions = _delimiter_positions(emissions)
-    index = delim_positions.dtype
-    segment_starts = np.append(0, delim_positions + 1)
-    return _finalise(emissions, final_state, delim_positions,
-                     record_ids[segment_starts].astype(index),
-                     column_ids[segment_starts].astype(index))

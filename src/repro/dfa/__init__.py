@@ -14,8 +14,12 @@ Entry points:
 * :class:`~repro.dfa.builder.DfaBuilder` — fluent construction of custom
   automata;
 * :mod:`~repro.dfa.logformats` — Common / Extended Log Format automata;
-* :mod:`~repro.dfa.minimize` — Hopcroft + data-parallel minimisation,
-  canonical forms, and behavioural equivalence/inclusion checking.
+* :mod:`~repro.dfa.minimize` — data-parallel minimisation, canonical
+  forms, and behavioural equivalence/inclusion checking.
+
+The scalar STV algebra, the Hopcroft minimisation oracle, the registry
+of shipped automata and the UTF-8 validation automaton are reference
+code in :mod:`repro.reference.dfa`.
 """
 
 from repro.dfa.automaton import Dfa, Emission
@@ -23,12 +27,6 @@ from repro.dfa.builder import DfaBuilder
 from repro.dfa.dialects import Dialect
 from repro.dfa.csv import rfc4180_dfa, dialect_dfa
 from repro.dfa.logformats import common_log_format_dfa, extended_log_format_dfa
-from repro.dfa.transitions import (
-    transition_vector,
-    compose,
-    identity_vector,
-    simulate,
-)
 from repro.dfa.compression import group_symbols, CompressedTable
 from repro.dfa.minimize import (
     Minimization,
@@ -38,8 +36,6 @@ from repro.dfa.minimize import (
     is_canonical,
     minimize,
 )
-from repro.dfa.registry import REGISTERED_AUTOMATA, registered_dfas
-from repro.dfa.utf8 import utf8_validation_dfa, validate_utf8
 from repro.dfa.sniffer import SniffResult, sniff_dialect
 
 __all__ = [
@@ -51,14 +47,8 @@ __all__ = [
     "dialect_dfa",
     "common_log_format_dfa",
     "extended_log_format_dfa",
-    "transition_vector",
-    "compose",
-    "identity_vector",
-    "simulate",
     "group_symbols",
     "CompressedTable",
-    "utf8_validation_dfa",
-    "validate_utf8",
     "sniff_dialect",
     "SniffResult",
     "Minimization",
@@ -67,6 +57,4 @@ __all__ = [
     "is_canonical",
     "equivalent",
     "included",
-    "REGISTERED_AUTOMATA",
-    "registered_dfas",
 ]

@@ -16,25 +16,21 @@ form, so that
   canonical tables, which is what lets the kernel cache key tables
   behaviourally (:func:`repro.kernels.cache.dfa_fingerprint`).
 
-Two partition-refinement engines compute the same state partition:
+The state partition comes from :func:`parallel_partition`, the
+data-parallel formulation from the "Massively Parallel Algorithms for DFA
+Minimisation" line of work (PAPERS.md): each round builds a per-state
+signature of class labels and *densely relabels* it with a sort +
+boundary-flag + prefix-scan pass
+(:func:`repro.scan.numpy_scan.inclusive_sum`), exactly the scan-shaped
+primitive the rest of the pipeline is built on.  Rounds are vectorised
+over all states; at most ``S`` rounds reach the fixed point.  The
+classic splitter-worklist refinement (Hopcroft's algorithm) is its test
+oracle, :func:`repro.reference.dfa.minimize.hopcroft_partition`.
 
-* :func:`hopcroft_partition` — the classic splitter-worklist refinement
-  (Hopcroft's algorithm; at the ≤32-state scale of dialect automata we
-  enqueue both halves of a split rather than only the smaller one — the
-  asymptotic trick matters at millions of states, not here);
-* :func:`parallel_partition` — the data-parallel formulation from the
-  "Massively Parallel Algorithms for DFA Minimisation" line of work
-  (PAPERS.md): each round builds a per-state signature of class labels
-  and *densely relabels* it with a sort + boundary-flag + prefix-scan
-  pass (:func:`repro.scan.numpy_scan.inclusive_sum`), exactly the
-  scan-shaped primitive the rest of the pipeline is built on.  Rounds
-  are vectorised over all states; at most ``S`` rounds reach the fixed
-  point.
-
-Both are Mealy-aware: the seed partition separates states by their full
-emission row, their accepting flag, and whether they are the INV sink,
-so the quotient preserves per-byte symbol classification, end-of-input
-acceptance, and invalid-input detection bit for bit.
+The refinement is Mealy-aware: the seed partition separates states by
+their full emission row, their accepting flag, and whether they are the
+INV sink, so the quotient preserves per-byte symbol classification,
+end-of-input acceptance, and invalid-input detection bit for bit.
 
 On top of the quotient, :func:`equivalent` / :func:`included` decide
 byte-level behavioural equivalence and inclusion of two automata by
@@ -56,9 +52,7 @@ from repro.scan.numpy_scan import inclusive_sum
 
 __all__ = [
     "Minimization",
-    "hopcroft_partition",
     "parallel_partition",
-    "same_partition",
     "minimize",
     "canonicalize",
     "is_canonical",
@@ -174,62 +168,6 @@ def parallel_partition(dfa: Dfa) -> np.ndarray:
         if refined == num_classes:
             return labels
         num_classes = refined
-
-
-def hopcroft_partition(dfa: Dfa) -> np.ndarray:
-    """Coarsest Mealy-consistent partition, splitter-worklist refinement.
-
-    The sequential reference the parallel formulation is tested against.
-    Returns ``(num_states,)`` dense class labels describing the same
-    partition as :func:`parallel_partition` (label values may differ;
-    compare with :func:`same_partition`).
-    """
-    num_states, num_groups = dfa.num_states, dfa.num_groups
-    preimage: list[list[list[int]]] = [
-        [[] for _ in range(num_states)] for _ in range(num_groups)]
-    for g in range(num_groups):
-        for source, target in enumerate(dfa.transitions[g]):
-            preimage[g][int(target)].append(source)
-
-    seed = _seed_labels(dfa)
-    blocks: dict[int, set[int]] = {}
-    for state, label in enumerate(seed):
-        blocks.setdefault(int(label), set()).add(state)
-    partition = list(blocks.values())
-    work: deque = deque(
-        (frozenset(block), g) for block in partition
-        for g in range(num_groups))
-    while work:  # parlint: disable=PPR401 -- splitter worklist over <= 32-state dialect automata; configuration-time only
-        splitter, g = work.popleft()
-        hits = {source for target in splitter for source in
-                preimage[g][target]}
-        refined: list[set[int]] = []
-        for block in partition:
-            inside = block & hits
-            outside = block - hits
-            if inside and outside:
-                refined.extend((inside, outside))
-                for gg in range(num_groups):
-                    work.append((frozenset(inside), gg))
-                    work.append((frozenset(outside), gg))
-            else:
-                refined.append(block)
-        partition = refined
-
-    labels = np.empty(num_states, dtype=np.int64)
-    for index, block in enumerate(sorted(partition, key=min)):
-        for state in block:
-            labels[state] = index
-    return labels
-
-
-def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two label vectors describe the same partition."""
-    if a.shape != b.shape:
-        return False
-    pairs = np.column_stack([a, b])
-    return int(_dense_relabel(pairs).max()) == max(int(a.max()),
-                                                   int(b.max()))
 
 
 # -- canonical construction --------------------------------------------------
@@ -358,20 +296,10 @@ def _canonical_from_labels(dfa: Dfa, labels: np.ndarray) -> Minimization:
     )
 
 
-def minimize(dfa: Dfa, *, method: str = "parallel") -> Minimization:
-    """Minimise ``dfa`` into its canonical form (see :class:`Minimization`).
-
-    ``method`` selects the partition engine — ``"parallel"`` (the
-    scan-shaped production path) or ``"hopcroft"`` (the sequential
-    reference); both produce the same canonical automaton.
-    """
-    if method == "parallel":
-        labels = parallel_partition(dfa)
-    elif method == "hopcroft":
-        labels = hopcroft_partition(dfa)
-    else:
-        raise ValueError(f"unknown minimisation method {method!r}")
-    return _canonical_from_labels(dfa, labels)
+def minimize(dfa: Dfa) -> Minimization:
+    """Minimise ``dfa`` into its canonical form (see :class:`Minimization`)
+    with the data-parallel partition engine."""
+    return _canonical_from_labels(dfa, parallel_partition(dfa))
 
 
 # -- cached canonicalisation -------------------------------------------------

@@ -1,8 +1,9 @@
 """Multi-symbol strided kernels for the byte-bound phases.
 
-The two hot loops of the pipeline — the STV simulation
-(:func:`repro.core.context.compute_transition_vectors`) and the tagging
-sweep (:func:`repro.core.tagging.compute_emissions`) — advance every
+The two hot loops of the pipeline — the STV simulation and the tagging
+sweep, whose unit-stride forms are the test oracles
+:func:`repro.reference.core.context.compute_transition_vectors` and
+:func:`repro.reference.core.tagging.compute_emissions` — advance every
 chunk by *one* symbol per Python-level iteration, so a chunk of ``n``
 bytes pays ``n`` rounds of interpreter and NumPy-dispatch overhead on
 top of the actual table gathers.  ParPaRaw's own answer to per-symbol
@@ -35,8 +36,7 @@ most one trailing symbol is finished by a unit-stride loop.  The Python
 loop shrinks from ``chunk_size`` iterations to about ``chunk_size / k``.
 Unit stride is the same kernel with an empty plan: at ``k = 1`` there are
 no segments and no tables, and the unit loop covers the whole chunk.
-The outputs are bit-identical to the reference sweeps of
-:mod:`repro.core.context` and :mod:`repro.core.tagging` by construction
+The outputs are bit-identical to those unit-stride sweeps by construction
 — the tables are *the same function*, memoised over k-grams — and the
 parity property suite in ``tests/kernels`` proves it over random
 dialects, inputs and strides.
@@ -387,7 +387,7 @@ def compute_transition_vectors_plan(groups: np.ndarray, plan: KernelPlan,
                                     packed: dict[int, np.ndarray] | None
                                     = None) -> np.ndarray:
     """STVs for all chunks, one table gather per plan segment (cf.
-    :func:`repro.core.context.compute_transition_vectors`).
+    :func:`repro.reference.core.context.compute_transition_vectors`).
 
     Bit-identical to the unit-stride sweep: every per-stride table is the
     exact composition of the base table over its block, and composition
@@ -420,7 +420,7 @@ def compute_emissions_plan(groups: np.ndarray, start_states: np.ndarray,
                            packed: dict[int, np.ndarray] | None = None
                            ) -> tuple[np.ndarray, int, int | None]:
     """Tagging sweep over a mixed-stride plan (cf.
-    :func:`repro.core.tagging.compute_emissions`).
+    :func:`repro.reference.core.tagging.compute_emissions`).
 
     Returns the same ``(emissions, final_state, invalid_position)``
     triple as the unit-stride sweep, bit for bit.  Each segment gathers

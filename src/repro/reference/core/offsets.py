@@ -1,7 +1,8 @@
 """Chunk-local record/column offsets and their scans (paper §3.2).
 
-This is the paper-faithful formulation used by the ``CHUNKED`` tagging
-implementation and the ablation benchmarks:
+This is the paper-faithful formulation behind the chunked tagger
+(:func:`repro.reference.core.tagging.tag_chunked`) and the ablation
+benchmarks:
 
 * every chunk builds its three *bitmap indexes* (record delimiters, field
   delimiters, control symbols);
@@ -13,12 +14,12 @@ implementation and the ablation benchmarks:
   (its total field-delimiter popcount) otherwise;
 * an exclusive prefix sum over record counts yields each chunk's record
   offset, and an exclusive scan under the rel/abs operator
-  (:class:`~repro.scan.operators.ColumnOffsetMonoid`) yields each chunk's
-  entering column offset.
+  (:class:`~repro.reference.scan.operators.ColumnOffsetMonoid`) yields
+  each chunk's entering column offset.
 
 Bitmap indexes are materialised both as boolean matrices (for the
 vectorised path) and as Python integers (for the bit-twiddling formulation
-with :func:`~repro.utils.bits.clear_bits_below` — exercised by the tests to
+with :func:`~repro.reference.utils.bits.clear_bits_below` — exercised by the tests to
 match the figures' worked examples).
 """
 
@@ -28,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.scan.numpy_scan import exclusive_sum, scan_column_offsets
-from repro.scan.operators import ColumnOffset
-from repro.utils.bits import clear_bits_below, last_set_bit_position, popcount64
+from repro.reference.scan.numpy_scan import scan_column_offsets
+from repro.scan.numpy_scan import exclusive_sum
+from repro.reference.scan.operators import ColumnOffset
+from repro.reference.utils.bits import clear_bits_below, last_set_bit_position, popcount64
 
 __all__ = [
     "ChunkOffsets",

@@ -13,8 +13,8 @@ This module implements the paper's §4.2 discipline at the symbol level:
 * threads seeing only **trailing** bytes skip them (UTF-8: ``0b10xxxxxx``
   prefixes; UTF-16: low surrogates) —
 
-both provided by :class:`~repro.core.chunking.SymbolReader` — and then
-runs the ordinary ParPaRaw phase structure over code points: per-chunk
+both provided by :class:`~repro.reference.core.chunking.SymbolReader` —
+and then runs the ordinary ParPaRaw phase structure over code points: per-chunk
 state-transition vectors, the composition scan, and a context-aware
 emission pass.  Output equals a sequential symbol-level simulation for
 every chunk size (property tested), which is precisely the §4.2 claim.
@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.chunking import SymbolReader
+from repro.reference.core.chunking import SymbolReader
 from repro.dfa.automaton import Dfa, Emission
-from repro.dfa.transitions import compose, identity_vector
+from repro.reference.dfa.transitions import compose, identity_vector
 from repro.errors import ParseError
 
 __all__ = ["SymbolDfa", "symbol_transition_vectors", "parse_symbols"]

@@ -9,9 +9,9 @@ under this operation yields, for every chunk, the state the sequential
 automaton would be in when *entering* that chunk (for every hypothetical
 global start state).
 
-This module provides the scalar algebra; the vectorised counterpart lives in
-:mod:`repro.scan.numpy_scan` and the batched STV computation in
-:mod:`repro.core.context`.
+This module provides the scalar algebra; the vectorised counterpart lives
+in :mod:`repro.scan.numpy_scan` and the batched STV computation in
+:mod:`repro.kernels.strided`.
 """
 
 from __future__ import annotations

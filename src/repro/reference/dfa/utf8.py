@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.chunking import chunk_groups
 from repro.dfa.automaton import Dfa, Emission
 from repro.dfa.builder import DfaBuilder
+from repro.reference.core.context import compute_transition_vectors
+from repro.reference.scan.numpy_scan import scan_transition_vectors
 
 __all__ = ["utf8_validation_dfa", "validate_utf8"]
 
@@ -106,13 +109,6 @@ def validate_utf8(data: bytes | np.ndarray,
     >>> validate_utf8(b"\\xed\\xa0\\x80")  # UTF-16 surrogate
     False
     """
-    # Deliberate upward imports: this validator *demonstrates* the parsing
-    # pipeline on a second DFA family, so it borrows the chunking/scan
-    # machinery; module-level imports would create a dfa<->core cycle.
-    from repro.core.chunking import chunk_groups  # parlint: disable=PPR503 -- demo of pipeline reuse, lazy to avoid cycle
-    from repro.core.context import compute_transition_vectors  # parlint: disable=PPR503 -- demo of pipeline reuse, lazy to avoid cycle
-    from repro.scan.numpy_scan import scan_transition_vectors  # parlint: disable=PPR503 -- demo of pipeline reuse, lazy to avoid cycle
-
     dfa = utf8_validation_dfa()
     buf = np.frombuffer(bytes(data), dtype=np.uint8) \
         if not isinstance(data, np.ndarray) else data

@@ -25,8 +25,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from repro.errors import CapacityError
-from repro.gpusim.bitfield import bfe, bfi
-from repro.utils.bits import bits_required
+from repro.reference.gpusim.bitfield import bfe, bfi
+from repro.reference.utils.bits import bits_required
 
 __all__ = ["Mfira"]
 
@@ -46,10 +46,10 @@ class Mfira:
     Notes
     -----
     The register images are plain Python ints constrained to 32 bits, and
-    every access goes through :func:`~repro.gpusim.bitfield.bfi` /
-    :func:`~repro.gpusim.bitfield.bfe`, so the data layout is exactly the
-    physical view of Figure 8 (fragments of an item distributed across
-    registers at offset ``index * fragment_bits``).
+    every access goes through :func:`~repro.reference.gpusim.bitfield.bfi` /
+    :func:`~repro.reference.gpusim.bitfield.bfe`, so the data layout is
+    exactly the physical view of Figure 8 (fragments of an item distributed
+    across registers at offset ``index * fragment_bits``).
     """
 
     def __init__(self, capacity: int, item_bits: int):

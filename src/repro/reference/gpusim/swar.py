@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dfa.automaton import Dfa
-from repro.gpusim.bitfield import bfind
+from repro.reference.gpusim.bitfield import bfind
 
 __all__ = ["mycroft_null_byte_mask", "SwarMatcher", "SwarTrace"]
 

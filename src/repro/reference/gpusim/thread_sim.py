@@ -6,9 +6,9 @@ the way a *single CUDA thread* would, using exactly the machinery §4.5
 describes:
 
 * the thread's state-transition vector lives in an
-  :class:`~repro.gpusim.mfira.Mfira` (dynamically indexed registers);
+  :class:`~repro.reference.gpusim.mfira.Mfira` (dynamically indexed registers);
 * each symbol is matched to its group with the branchless
-  :class:`~repro.gpusim.swar.SwarMatcher`;
+  :class:`~repro.reference.gpusim.swar.SwarMatcher`;
 * the transition table itself is packed into MFIRAs (one per symbol
   group) when small enough, so a state transition is two BFE/BFI accesses.
 
@@ -26,9 +26,9 @@ import numpy as np
 
 from repro.dfa.automaton import Dfa
 from repro.errors import SimulationError
-from repro.gpusim.mfira import Mfira
-from repro.gpusim.swar import SwarMatcher
-from repro.utils.bits import bits_required
+from repro.reference.gpusim.mfira import Mfira
+from repro.reference.gpusim.swar import SwarMatcher
+from repro.reference.utils.bits import bits_required
 
 __all__ = ["ThreadResources", "GpuThread", "simulate_block"]
 
@@ -123,7 +123,8 @@ def simulate_block(dfa: Dfa, data: bytes,
     """Run one thread per chunk over ``data``; return STVs + totals.
 
     The reference for the vectorised
-    :func:`repro.core.context.compute_transition_vectors` (tested equal).
+    :func:`repro.reference.core.context.compute_transition_vectors`
+    (tested equal).
     """
     if chunk_size <= 0:
         raise SimulationError("chunk_size must be positive")

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Sequence, TypeVar
 
-from repro.scan.operators import Monoid
-from repro.utils.bits import next_power_of_two
+from repro.reference.scan.operators import Monoid
+from repro.reference.utils.bits import next_power_of_two
 
 T = TypeVar("T")
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Generic, Sequence, TypeVar
 
-from repro.scan.operators import Monoid
-from repro.scan.sequential import exclusive_scan as _seq_exclusive
+from repro.reference.scan.operators import Monoid
+from repro.reference.scan.sequential import exclusive_scan as _seq_exclusive
 
 T = TypeVar("T")
 

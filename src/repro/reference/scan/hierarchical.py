@@ -9,7 +9,7 @@ the tile-local scan is itself composed:
 2. **block scan** — warp aggregates are scanned (by one warp) and added
    back as per-warp prefixes;
 3. **device scan** — block aggregates flow through the decoupled
-   look-back protocol (:mod:`repro.scan.decoupled_lookback`).
+   look-back protocol (:mod:`repro.reference.scan.decoupled_lookback`).
 
 This module implements tiers 1 and 2 faithfully (explicit lane/warp
 structure, double-buffered sweeps) and composes tier 3 from the existing
@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from typing import Sequence, TypeVar
 
-from repro.scan.decoupled_lookback import single_pass_scan
-from repro.scan.operators import Monoid
-from repro.scan.sequential import exclusive_scan as _seq_exclusive
+from repro.reference.scan.decoupled_lookback import single_pass_scan
+from repro.reference.scan.operators import Monoid
+from repro.reference.scan.sequential import exclusive_scan as _seq_exclusive
 
 T = TypeVar("T")
 
@@ -94,8 +94,9 @@ def hierarchical_device_scan(items: Sequence[T], monoid: Monoid[T],
                              exclusive: bool = True) -> list[T]:
     """The full three-tier scan: warp -> block -> decoupled look-back.
 
-    Equivalent to :func:`repro.scan.decoupled_lookback.single_pass_scan`
-    with tiles of ``block_size``, except each tile's local scan runs
+    Equivalent to
+    :func:`repro.reference.scan.decoupled_lookback.single_pass_scan` with
+    tiles of ``block_size``, except each tile's local scan runs
     through the explicit warp/block machinery above, making the whole GPU
     scan architecture executable end to end.
     """

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence, TypeVar
 
-from repro.scan.operators import Monoid
+from repro.reference.scan.operators import Monoid
 
 T = TypeVar("T")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence, TypeVar
 
-from repro.scan.operators import Monoid
+from repro.reference.scan.operators import Monoid
 
 T = TypeVar("T")
 
@@ -50,7 +50,7 @@ def segmented_inclusive_scan(items: Sequence[T], head_flags: Sequence[bool],
                              monoid: Monoid[T]) -> list[T]:
     """Inclusive scan restarting at positions whose head flag is set.
 
-    >>> from repro.scan.operators import SumMonoid
+    >>> from repro.reference.scan.operators import SumMonoid
     >>> segmented_inclusive_scan([1, 1, 1, 1, 1],
     ...                          [True, False, True, False, False],
     ...                          SumMonoid())

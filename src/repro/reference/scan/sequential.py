@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence, TypeVar
 
-from repro.scan.operators import Monoid
+from repro.reference.scan.operators import Monoid
 
 T = TypeVar("T")
 
@@ -22,7 +22,7 @@ __all__ = ["inclusive_scan", "exclusive_scan", "reduce"]
 def inclusive_scan(items: Sequence[T], monoid: Monoid[T]) -> list[T]:
     """Inclusive left-to-right scan of ``items`` under ``monoid``.
 
-    >>> from repro.scan.operators import SumMonoid
+    >>> from repro.reference.scan.operators import SumMonoid
     >>> inclusive_scan([3, 5, 1, 2], SumMonoid())
     [3, 8, 9, 11]
     """
@@ -37,7 +37,7 @@ def inclusive_scan(items: Sequence[T], monoid: Monoid[T]) -> list[T]:
 def exclusive_scan(items: Sequence[T], monoid: Monoid[T]) -> list[T]:
     """Exclusive left-to-right scan: output ``i`` excludes input ``i``.
 
-    >>> from repro.scan.operators import SumMonoid
+    >>> from repro.reference.scan.operators import SumMonoid
     >>> exclusive_scan([3, 5, 1, 2], SumMonoid())
     [0, 3, 8, 9]
     """

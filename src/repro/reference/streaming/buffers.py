@@ -20,19 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import StreamingError
 
-__all__ = ["CarryOver", "DoubleBuffer"]
-
-
-@dataclass
-class CarryOver:
-    """The last, incomplete record at the end of one partition's input."""
-
-    partition: int
-    data: bytes
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
+__all__ = ["DoubleBuffer"]
 
 
 @dataclass

@@ -3,7 +3,7 @@
 Resources: the host-to-device PCIe channel, the device-to-host PCIe
 channel (independent — full duplex), and the GPU (serial executor of parse
 and carry-over-copy steps).  Buffers: the double buffer of
-:mod:`repro.streaming.buffers`, with hazard checking.
+:mod:`repro.reference.streaming.buffers`, with hazard checking.
 
 Per partition ``i`` on buffer ``b = i % 2``:
 
@@ -31,8 +31,8 @@ from repro.gpusim.cost_model import PipelineCostModel, WorkloadStats
 from repro.gpusim.device import DeviceSpec, TITAN_X_PASCAL
 from repro.obs.export import chrome_trace
 from repro.obs.trace import Span
-from repro.streaming.buffers import DoubleBuffer
-from repro.streaming.pcie import PcieLink
+from repro.reference.streaming.buffers import DoubleBuffer
+from repro.reference.streaming.pcie import PcieLink
 
 __all__ = ["StageRecord", "PipelineSchedule", "StreamingPipeline",
            "RESOURCES", "RESOURCE_OF"]

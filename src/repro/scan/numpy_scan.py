@@ -1,19 +1,15 @@
 """Vectorised scans used by the production pipeline.
 
-These functions implement the same scans as the scalar algorithms in this
-subpackage, but over NumPy arrays, so that an array lane corresponds to a
-GPU thread.  The scalar algorithms remain the readable reference;
-equivalence between the two is covered by tests.
+An array lane corresponds to a GPU thread.  :func:`exclusive_sum` and
+:func:`inclusive_sum` are the plain prefix sums; :func:`entering_states`
+scans an ``(n_chunks, |S|)`` array of state-transition vectors under
+composition — paper §3.1 — reduce-then-walk: ``O(n·|S|)`` work to reduce
+blocks of chunks, a walk over the block composites and an ``O(n)`` carry
+per start state, the shape of the paper's single-pass GPU scan.
 
-Two of the scans are ParPaRaw-specific:
-
-* :func:`entering_states` scans an ``(n_chunks, |S|)`` array of
-  state-transition vectors under composition — paper §3.1 — reduce-then-
-  walk: ``O(n·|S|)`` work to reduce blocks of chunks, a walk over the
-  block composites and an ``O(n)`` carry per start state, the shape of the
-  paper's single-pass GPU scan;
-* :func:`scan_column_offsets` scans ``(kind, value)`` column-offset pairs
-  under the rel/abs operator with Hillis–Steele doubling — paper §3.2.
+The scalar scan algorithms and the vectorised scans only tests use
+(the full STV scan, the rel/abs column-offset scan of §3.2) live in
+:mod:`repro.reference.scan`.
 """
 
 from __future__ import annotations
@@ -27,8 +23,6 @@ __all__ = [
     "inclusive_sum",
     "entering_states",
     "scan_depth",
-    "scan_transition_vectors",
-    "scan_column_offsets",
 ]
 
 #: Chunks per lane of :func:`entering_states`.  64-256 measure alike over
@@ -145,88 +139,3 @@ def scan_depth(num_chunks: int) -> int:
     if num_chunks == 0:
         return 0
     return 2 * _BLOCK + -(-num_chunks // _BLOCK)
-
-
-def scan_transition_vectors(vectors: np.ndarray,
-                            exclusive: bool = True) -> np.ndarray:
-    """Scan an ``(n, S)`` array of state-transition vectors by composition.
-
-    :func:`entering_states` from every state at once.
-
-    Parameters
-    ----------
-    vectors:
-        ``(n, S)`` integer array; row ``c`` maps start state ``i`` to the
-        end state after chunk ``c``.
-    exclusive:
-        If true (default), row ``c`` of the result maps a global start state
-        to the state *entering* chunk ``c`` (identity row prepended).
-
-    Returns
-    -------
-    np.ndarray
-        ``(n, S)`` scanned array.
-    """
-    vectors = np.asarray(vectors)
-    if vectors.ndim != 2:
-        raise ValueError("expected an (n_chunks, num_states) array")
-    rows = entering_states(vectors, np.arange(vectors.shape[1]))
-    return rows[:-1] if exclusive else rows[1:]
-
-
-def scan_column_offsets(kinds: np.ndarray, values: np.ndarray,
-                        exclusive: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Scan rel/abs column offsets (paper §3.2) across chunks.
-
-    Parameters
-    ----------
-    kinds:
-        ``(n,)`` boolean array; True where the chunk's offset is *absolute*
-        (the chunk contains a record delimiter).
-    values:
-        ``(n,)`` integer offsets (field-delimiter counts).
-    exclusive:
-        If true (default), entry ``c`` gives the column offset *entering*
-        chunk ``c``; the seed is ``relative(0)``.
-
-    Returns
-    -------
-    (np.ndarray, np.ndarray)
-        Scanned ``(kinds, values)`` pair.  After an exclusive scan over an
-        input whose first chunk starts at a record boundary, every entry
-        reachable from an absolute offset is absolute.
-    """
-    kinds = np.asarray(kinds, dtype=bool)
-    values = np.asarray(values, dtype=np.int64)
-    if kinds.shape != values.shape or kinds.ndim != 1:
-        raise ValueError("kinds and values must be equal-length 1-D arrays")
-    n = len(kinds)
-    if n == 0:
-        return kinds.copy(), values.copy()
-    acc_kind = kinds.copy()
-    acc_value = values.copy()
-    offset = 1
-    while offset < n:  # parlint: disable=PPR401 -- ceil(log2 n) doubling sweeps, vectorised over every lane
-        left_kind = acc_kind[:-offset]
-        left_value = acc_value[:-offset]
-        right_kind = acc_kind[offset:]
-        right_value = acc_value[offset:]
-        # a ⊕ b: absolute right operand wins outright; relative right
-        # operand adds onto the left operand and inherits its kind.
-        new_kind = np.where(right_kind, True, left_kind)
-        new_value = np.where(right_kind, right_value,
-                             left_value + right_value)
-        acc_kind = acc_kind.copy()
-        acc_value = acc_value.copy()
-        acc_kind[offset:] = new_kind
-        acc_value[offset:] = new_value
-        offset *= 2
-    if not exclusive:
-        return acc_kind, acc_value
-    out_kind = np.empty_like(acc_kind)
-    out_value = np.empty_like(acc_value)
-    out_kind[0] = False
-    out_value[0] = 0
-    out_kind[1:] = acc_kind[:-1]
-    out_value[1:] = acc_value[:-1]
-    return out_kind, out_value

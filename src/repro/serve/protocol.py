@@ -26,8 +26,8 @@ a custom DFA object, or ``strict``, ``skip_rows``, ``skip_records``,
 field's ``nullable``/``default``/``decimal_scale`` set away from its
 default — are refused by :func:`options_to_wire` rather than silently
 dropped; use the in-process client for those.  The remaining
-implementation knobs (collaboration thresholds, ``plan``) do not travel
-either: they change how a parse runs, never its output.  Keys of
+implementation knob, ``plan``, does not travel either: it changes how a
+parse runs, never its output.  Keys of
 retired options that an older peer still sends are ignored.
 
 Readers enforce limits before allocating: a header over

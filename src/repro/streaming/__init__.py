@@ -1,34 +1,17 @@
-"""End-to-end streaming (paper §4.4, Figure 7).
+"""End-to-end streaming (paper §4.4).
 
 Inputs that do not reside on the GPU (or exceed its memory) are split into
-partitions; transfer-to-device, parse, and transfer-back overlap across
-partitions, exploiting the PCIe bus's full-duplex capability and hiding
-transfer latency.
+partitions.  :class:`~repro.streaming.stream_parser.StreamingParser`
+parses arbitrary byte streams partition by partition, carrying the last
+incomplete record over to the next partition — output is bit-identical
+to a batch parse (tested).
 
-Two halves:
-
-* a **working streaming parser**
-  (:class:`~repro.streaming.stream_parser.StreamingParser`) that actually
-  parses arbitrary byte streams partition by partition, carrying the last
-  incomplete record over to the next partition — output is bit-identical
-  to a batch parse (tested);
-* a **pipeline simulator** (:class:`~repro.streaming.pipeline.StreamingPipeline`)
-  that schedules the Figure 7 dependency DAG (double buffers, carry-over
-  copies, serial HtD/DtH channels, serial GPU) over the
-  :mod:`repro.gpusim` cost model to produce the end-to-end timings of
-  Figures 12 and 13.
+The Figure 7 pipeline simulator, which schedules transfer-to-device,
+parse and transfer-back across partitions over the :mod:`repro.gpusim`
+cost model for Figures 12 and 13, is reference code:
+:mod:`repro.reference.streaming.pipeline`.
 """
 
-from repro.streaming.pcie import PcieLink
-from repro.streaming.buffers import DoubleBuffer, CarryOver
-from repro.streaming.pipeline import StreamingPipeline, PipelineSchedule
 from repro.streaming.stream_parser import StreamingParser
 
-__all__ = [
-    "PcieLink",
-    "DoubleBuffer",
-    "CarryOver",
-    "StreamingPipeline",
-    "PipelineSchedule",
-    "StreamingParser",
-]
+__all__ = ["StreamingParser"]

@@ -1,26 +1,10 @@
-"""Shared low-level utilities (bit manipulation, RLE, timing)."""
+"""Shared low-level utilities (run-length encoding, timing).
 
-from repro.utils.bits import (
-    popcount32,
-    popcount64,
-    popcount_array,
-    bits_required,
-    next_power_of_two,
-    clear_bits_below,
-    last_set_bit_position,
-)
+The bit-manipulation helpers the paper's bitmap formulations use are
+reference code: :mod:`repro.reference.utils.bits`.
+"""
+
 from repro.utils.rle import run_length_encode, run_starts
 from repro.utils.timing import StepTimer
 
-__all__ = [
-    "popcount32",
-    "popcount64",
-    "popcount_array",
-    "bits_required",
-    "next_power_of_two",
-    "clear_bits_below",
-    "last_set_bit_position",
-    "run_length_encode",
-    "run_starts",
-    "StepTimer",
-]
+__all__ = ["run_length_encode", "run_starts", "StepTimer"]

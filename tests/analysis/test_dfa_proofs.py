@@ -20,7 +20,7 @@ from repro.analysis.dfaproofs import (
     verify_inclusion,
 )
 from repro.dfa.minimize import equivalent, included
-from repro.dfa.registry import REGISTERED_AUTOMATA, registered_dfas
+from repro.reference.dfa.registry import REGISTERED_AUTOMATA, registered_dfas
 
 
 @pytest.fixture(scope="module")

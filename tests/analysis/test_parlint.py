@@ -51,6 +51,10 @@ class TestCorpus:
         codes = codes_in(CORPUS / "bad_no_all.py")
         assert "PPR504" in codes
 
+    def test_production_imports_reference(self):
+        codes = codes_in(CORPUS / "bad_reference_import.py")
+        assert codes == ["PPR503"]
+
     def test_buffer_mutation(self):
         codes = codes_in(CORPUS / "bad_buffer_mutation.py")
         assert codes.count("PPR601") == 5, \

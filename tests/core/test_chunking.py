@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.chunking import (
+from repro.core.chunking import chunk_groups
+from repro.reference.core.chunking import (
     SymbolReader,
-    chunk_groups,
     utf8_leading_skip,
     utf16_leading_skip,
 )

@@ -9,8 +9,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.chunking import chunk_groups
-from repro.core.context import (
-    chunk_start_states,
+from repro.core.context import chunk_start_states
+from repro.reference.core.context import (
     compute_transition_vectors,
     determine_contexts,
 )

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.columnar.schema import DataType, Field
-from repro.core.conversion import CollaborationStats, convert_column
+from repro.core.conversion import (BLOCK_THRESHOLD, DEVICE_THRESHOLD,
+                                   CollaborationStats, convert_column)
 from repro.core.css import ColumnIndex
 from repro.core.options import ParseOptions
 from repro.core.scalar_convert import convert_scalar
@@ -132,11 +133,12 @@ class TestStringColumn:
 
 class TestCollaborationLevels:
     def test_classification(self):
-        options = IDENTITY.with_(block_threshold=4, device_threshold=10)
-        css, index = make_index([b"ab", b"abcdef", b"x" * 20], [0, 1, 2])
+        css, index = make_index(
+            [b"ab", b"x" * (BLOCK_THRESHOLD + 1),
+             b"x" * (DEVICE_THRESHOLD + 1)], [0, 1, 2])
         rows = np.arange(3)
         _, stats = convert_column(Field("s", DataType.STRING), css, index,
-                                  rows, 3, options)
+                                  rows, 3, IDENTITY)
         assert stats.thread_fields == 1
         assert stats.block_fields == 1
         assert stats.device_fields == 1

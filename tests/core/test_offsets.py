@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.offsets import (
+from repro.reference.core.offsets import (
     chunk_bitmap_ints,
     column_offset_from_bitmaps,
     compute_chunk_offsets,
 )
-from repro.scan.operators import ColumnOffset, OffsetKind
+from repro.reference.scan.operators import ColumnOffset, OffsetKind
 
 
 class TestBitmapInts:

@@ -263,6 +263,5 @@ class TestRejectsTracking:
         assert result.total_rejected_fields == 1
 
     def test_collaboration_stats_reported(self):
-        result = parse_bytes(b'a,' + b'"' + b'y' * 2000 + b'"\n',
-                             block_threshold=100, device_threshold=1000)
+        result = parse_bytes(b'a,' + b'"' + b'y' * 50_000 + b'"\n')
         assert result.collaboration.device_fields == 1

@@ -8,9 +8,9 @@ from hypothesis.extra import numpy as hnp
 from repro import ParPaRawParser, ParseOptions
 from repro.columnar.serialize import write_feather
 from repro.core import partition as partition_module, tagging
-from repro.core.partition import (partition_by_column,
-                                  partition_field_runs,
-                                  stable_radix_sort)
+from repro.core.partition import partition_field_runs
+from repro.reference.core.partition import (partition_by_column,
+                                            stable_radix_sort)
 from repro.core.tagging import index_dtype, segment_lengths
 from repro.errors import ParseError
 from repro.workloads import TAXI_SCHEMA, generate_taxi_like

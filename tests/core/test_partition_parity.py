@@ -3,8 +3,8 @@
 The partition stage's acceptance bar: for every dialect, tagging mode,
 input and executor schedule, the pipeline's partition (field runs over
 the tagger's per-segment tags) is exactly the ``PartitionResult`` that
-:func:`~repro.core.partition.partition_by_column` — the paper's stable
-radix sort, kept as the oracle — produces over the validate payload's
+the oracle :func:`~repro.reference.core.partition.partition_by_column` —
+the paper's stable radix sort — produces over the validate payload's
 segment tags expanded per symbol: same ``css``, ``record_tags``,
 ``column_offsets`` and stable ``order`` permutation, the last two
 derived on demand on the pipeline side (``num_field_runs`` is diagnostic
@@ -21,7 +21,7 @@ from repro import (
     ShardedExecutor,
 )
 from repro.core.options import TaggingMode
-from repro.core.partition import partition_by_column
+from repro.reference.core.partition import partition_by_column
 from repro.core.stages import PipelineContext, RawInput, \
     default_pipeline
 from repro.core.tagging import segment_lengths

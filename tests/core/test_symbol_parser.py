@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.symbol_parser import SymbolDfa, parse_symbols, \
+from repro.reference.core.symbol_parser import SymbolDfa, parse_symbols, \
     symbol_transition_vectors
 from repro.dfa.csv import dialect_dfa
 from repro.dfa.dialects import Dialect
-from repro.dfa.transitions import compose, identity_vector
+from repro.reference.dfa.transitions import compose, identity_vector
 
 NO_CR = Dialect(strip_carriage_return=False)
 

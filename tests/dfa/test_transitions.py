@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.dfa.transitions import compose, identity_vector, \
+from repro.reference.dfa.transitions import compose, identity_vector, \
     transition_vector
 
 

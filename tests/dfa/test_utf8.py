@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dfa.utf8 import utf8_validation_dfa, validate_utf8
+from repro.reference.dfa.utf8 import utf8_validation_dfa, validate_utf8
 
 
 def python_accepts(data: bytes) -> bool:

@@ -25,7 +25,7 @@ from repro import (
 from repro.baselines import stdlib_csv_rows
 from repro.core.chunking import Chunking
 from repro.core.stages import PipelineContext, RawInput
-from repro.core.tagging import tag_chunked
+from repro.reference.core.tagging import tag_chunked
 from repro.dfa.logformats import common_log_format_dfa, \
     extended_log_format_dfa
 from repro.exec import SerialExecutor, ShardedExecutor

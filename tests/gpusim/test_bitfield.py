@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.gpusim.bitfield import NOT_FOUND, bfe, bfi, bfind, brev, popc
+from repro.reference.gpusim.bitfield import (NOT_FOUND, bfe, bfi, bfind,
+                                            brev, popc)
 
 u32 = st.integers(min_value=0, max_value=2 ** 32 - 1)
 

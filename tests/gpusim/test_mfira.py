@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import CapacityError
-from repro.gpusim.mfira import Mfira
+from repro.reference.gpusim.mfira import Mfira
 
 
 class TestFigure8Geometry:

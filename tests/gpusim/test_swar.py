@@ -8,7 +8,7 @@ from repro.dfa.builder import DfaBuilder
 from repro.dfa.csv import dialect_dfa, rfc4180_dfa
 from repro.dfa.dialects import Dialect
 from repro.dfa.automaton import Emission
-from repro.gpusim.swar import SwarMatcher, mycroft_null_byte_mask
+from repro.reference.gpusim.swar import SwarMatcher, mycroft_null_byte_mask
 
 
 class TestMycroftMask:

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.chunking import chunk_groups
-from repro.core.context import compute_transition_vectors
+from repro.reference.core.context import compute_transition_vectors
 from repro.dfa import rfc4180_dfa
 from repro.dfa.csv import dialect_dfa
 from repro.dfa.dialects import Dialect
 from repro.errors import SimulationError
-from repro.gpusim.thread_sim import GpuThread, simulate_block
+from repro.reference.gpusim.thread_sim import GpuThread, simulate_block
 
 
 class TestGpuThread:

@@ -5,6 +5,7 @@ import pytest
 from repro import ParPaRawParser, ParseOptions
 from repro.baselines import SequentialParser
 from repro.columnar.schema import DataType
+from repro.core import conversion
 from repro.workloads import (
     CsvGenerator,
     TAXI_SCHEMA,
@@ -83,10 +84,12 @@ class TestSkew:
         baseline = ParPaRawParser(ParseOptions()).parse(base)
         assert result.num_rows == baseline.num_rows + 1
 
-    def test_giant_record_parses_equal_to_sequential(self):
+    def test_giant_record_parses_equal_to_sequential(self, monkeypatch):
+        monkeypatch.setattr(conversion, "BLOCK_THRESHOLD", 64)
+        monkeypatch.setattr(conversion, "DEVICE_THRESHOLD", 1024)
         base = b"a,b,c\n" * 20
         skewed = skew_dataset(base, giant_record_bytes=5_000, column=1)
-        options = ParseOptions(block_threshold=64, device_threshold=1024)
+        options = ParseOptions()
         parallel = ParPaRawParser(options).parse(skewed)
         sequential = SequentialParser(options).parse(skewed)
         assert parallel.table.to_pylist() == sequential.to_pylist()

@@ -17,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 from repro import Dialect, ParPaRawParser, ParseOptions
 from repro.baselines.sequential import SequentialParser, sequential_rows
 from repro.core.chunking import chunk_groups
-from repro.core.context import chunk_start_states, compute_transition_vectors
-from repro.core.tagging import compute_emissions
+from repro.core.context import chunk_start_states
+from repro.reference.core.context import compute_transition_vectors
+from repro.reference.core.tagging import compute_emissions
 from repro.dfa import dialect_dfa
 from repro.exec import ShardedExecutor
 from repro.kernels import (

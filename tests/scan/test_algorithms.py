@@ -10,11 +10,13 @@ scan, any tile size and any tile scheduling order.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.scan.blelloch import blelloch_scan
-from repro.scan.decoupled_lookback import ScanStatistics, single_pass_scan
-from repro.scan.hillis_steele import hillis_steele_scan
-from repro.scan.operators import SumMonoid, TransitionComposeMonoid
-from repro.scan.sequential import exclusive_scan, inclusive_scan, reduce
+from repro.reference.scan.blelloch import blelloch_scan
+from repro.reference.scan.decoupled_lookback import (ScanStatistics,
+                                                    single_pass_scan)
+from repro.reference.scan.hillis_steele import hillis_steele_scan
+from repro.reference.scan.operators import SumMonoid, TransitionComposeMonoid
+from repro.reference.scan.sequential import (exclusive_scan,
+                                            inclusive_scan, reduce)
 
 NUM_STATES = 4
 

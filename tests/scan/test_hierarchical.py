@@ -3,13 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.scan.hierarchical import (
+from repro.reference.scan.hierarchical import (
     block_scan,
     hierarchical_device_scan,
     warp_scan,
 )
-from repro.scan.operators import SumMonoid, TransitionComposeMonoid
-from repro.scan.sequential import exclusive_scan, inclusive_scan
+from repro.reference.scan.operators import SumMonoid, TransitionComposeMonoid
+from repro.reference.scan.sequential import exclusive_scan, inclusive_scan
 
 NUM_STATES = 4
 

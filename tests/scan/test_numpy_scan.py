@@ -6,22 +6,25 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.scan import numpy_scan
-from repro.scan.hillis_steele import hillis_steele_scan
+from repro.reference.scan.hillis_steele import hillis_steele_scan
+from repro.reference.scan.numpy_scan import (
+    scan_column_offsets,
+    scan_transition_vectors,
+)
 from repro.scan.numpy_scan import (
     entering_states,
     exclusive_sum,
     inclusive_sum,
-    scan_column_offsets,
     scan_depth,
-    scan_transition_vectors,
 )
-from repro.scan.operators import (
+from repro.reference.scan.operators import (
     ColumnOffset,
     ColumnOffsetMonoid,
     OffsetKind,
     TransitionComposeMonoid,
 )
-from repro.scan.sequential import exclusive_scan, inclusive_scan, reduce
+from repro.reference.scan.sequential import (exclusive_scan,
+                                            inclusive_scan, reduce)
 
 NUM_STATES = 6
 

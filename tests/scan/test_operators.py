@@ -9,7 +9,7 @@ rel/abs column offset).
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.scan.operators import (
+from repro.reference.scan.operators import (
     ColumnOffset,
     ColumnOffsetMonoid,
     MaxMonoid,

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.scan.operators import SumMonoid
-from repro.scan.segmented import SegmentedMonoid, segmented_inclusive_scan
+from repro.reference.scan.operators import SumMonoid
+from repro.reference.scan.segmented import (SegmentedMonoid,
+                                           segmented_inclusive_scan)
 
 
 class TestSegmentedMonoid:

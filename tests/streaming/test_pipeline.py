@@ -4,9 +4,9 @@ import pytest
 
 from repro.errors import StreamingError
 from repro.gpusim.cost_model import WorkloadStats
-from repro.streaming.buffers import DoubleBuffer
-from repro.streaming.pcie import PcieLink
-from repro.streaming.pipeline import StreamingPipeline
+from repro.reference.streaming.buffers import DoubleBuffer
+from repro.reference.streaming.pcie import PcieLink
+from repro.reference.streaming.pipeline import StreamingPipeline
 
 GB = 1e9
 MB = 1024 ** 2

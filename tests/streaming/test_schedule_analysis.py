@@ -3,11 +3,11 @@
 import pytest
 
 from repro.gpusim.cost_model import WorkloadStats
-from repro.streaming import StreamingPipeline
-from repro.streaming.pipeline import (
+from repro.reference.streaming.pipeline import (
     RESOURCES,
     PipelineSchedule,
     StageRecord,
+    StreamingPipeline,
 )
 
 GB = 1e9
@@ -108,7 +108,7 @@ class TestGantt:
         assert "T" in art and "t" in art
 
     def test_empty_schedule(self):
-        from repro.streaming.pipeline import PipelineSchedule
+        from repro.reference.streaming.pipeline import PipelineSchedule
         assert "empty" in PipelineSchedule().render_gantt()
 
     def test_max_partitions_limits_output(self, schedule):

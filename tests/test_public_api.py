@@ -19,7 +19,7 @@ class TestTopLevelApi:
         "repro.core", "repro.dfa", "repro.exec", "repro.obs", "repro.scan",
         "repro.gpusim", "repro.streaming", "repro.baselines",
         "repro.workloads", "repro.columnar", "repro.utils",
-        "repro.__main__",
+        "repro.reference", "repro.__main__",
     ])
     def test_subpackages_import(self, module):
         imported = importlib.import_module(module)
@@ -29,6 +29,7 @@ class TestTopLevelApi:
         "repro.core", "repro.dfa", "repro.exec", "repro.obs", "repro.scan",
         "repro.gpusim", "repro.streaming", "repro.baselines",
         "repro.workloads", "repro.columnar", "repro.utils",
+        "repro.reference",
     ])
     def test_subpackage_all_resolves(self, module):
         imported = importlib.import_module(module)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.bits import (
+from repro.reference.utils.bits import (
     bits_required,
     clear_bits_below,
     last_set_bit_position,
