@@ -13,7 +13,7 @@ Written to ``results/ablation_partition.txt``.
 
 import pytest
 
-from repro.gpusim.cost_model import PipelineCostModel, WorkloadStats
+from repro.reference.gpusim.cost_model import PipelineCostModel, WorkloadStats
 
 from conftest import MB, write_report
 

@@ -21,8 +21,8 @@ from repro import ParPaRawParser, ParseOptions
 from repro.baselines import InstantLoadingParser
 from repro.dfa.dialects import Dialect
 from repro.exec import SerialExecutor, ShardedExecutor
-from repro.gpusim.cost_model import PipelineCostModel, WorkloadStats
-from repro.gpusim.device import TITAN_X_PASCAL, V100
+from repro.reference.gpusim.cost_model import PipelineCostModel, WorkloadStats
+from repro.reference.gpusim.device import TITAN_X_PASCAL, V100
 from repro.workloads import YELP_SCHEMA, generate_yelp_like
 
 from conftest import MB, write_report

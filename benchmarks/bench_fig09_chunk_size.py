@@ -13,7 +13,7 @@ calibrated device model, written to ``results/fig09_chunk_size.txt``.
 import pytest
 
 from repro import ParPaRawParser, ParseOptions
-from repro.gpusim.cost_model import PipelineCostModel, WorkloadStats
+from repro.reference.gpusim.cost_model import PipelineCostModel, WorkloadStats
 
 from conftest import MB, run_benchmark, write_report
 

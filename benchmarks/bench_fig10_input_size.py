@@ -11,7 +11,7 @@ device model, written to ``results/fig10_input_size.txt``.
 import pytest
 
 from repro import ParPaRawParser, ParseOptions
-from repro.gpusim.cost_model import PipelineCostModel, WorkloadStats
+from repro.reference.gpusim.cost_model import PipelineCostModel, WorkloadStats
 from repro.workloads import generate_yelp_like
 
 from conftest import MB, run_benchmark, write_report

@@ -14,7 +14,7 @@ import pytest
 
 from repro import ParPaRawParser, ParseOptions, TaggingMode
 from repro.baselines import SequentialParser
-from repro.gpusim.cost_model import PipelineCostModel, WorkloadStats
+from repro.reference.gpusim.cost_model import PipelineCostModel, WorkloadStats
 from repro.workloads import generate_taxi_like, generate_yelp_like, \
     skew_dataset
 

@@ -12,7 +12,7 @@ paper-scale U-curve from the Figure 7 pipeline simulation.
 import pytest
 
 from repro import ParseOptions, StreamingParser
-from repro.gpusim.cost_model import WorkloadStats
+from repro.reference.gpusim.cost_model import WorkloadStats
 from repro.obs import MetricsRegistry, validate_chrome_trace, write_chrome_trace
 from repro.reference.streaming.pipeline import StreamingPipeline
 from repro.workloads import generate_yelp_like

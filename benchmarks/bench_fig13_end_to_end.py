@@ -28,7 +28,7 @@ from repro.baselines import (
 )
 from repro.baselines.system_models import PAPER_SYSTEMS, modelled_duration
 from repro.errors import SimulationError
-from repro.gpusim.cost_model import WorkloadStats
+from repro.reference.gpusim.cost_model import WorkloadStats
 from repro.obs import MetricsRegistry, Tracer
 from repro.reference.streaming.pipeline import StreamingPipeline
 

@@ -11,7 +11,8 @@ import pytest
 from repro.core.chunking import chunk_groups
 from repro.reference.core.context import compute_transition_vectors
 from repro.dfa import rfc4180_dfa
-from repro.dfa.compression import expand_table, group_symbols
+from repro.dfa.compression import group_symbols
+from repro.reference.dfa.compression import expand_table
 from repro.workloads import generate_yelp_like
 
 from conftest import write_report

@@ -26,7 +26,7 @@ from repro.core.tagging import tag_global
 from repro.reference.core.context import compute_transition_vectors
 from repro.reference.core.offsets import compute_chunk_offsets
 from repro.reference.core.partition import partition_by_column
-from repro.reference.core.tagging import compute_emissions
+from repro.reference.core.tagging import compute_emissions, symbol_ids
 from repro.dfa.automaton import Emission
 
 DATA = b'1941,199.99,"Bookcase"\n1938,19.99,"Frame\n""Ribba"", black"\n'
@@ -60,6 +60,7 @@ def main() -> None:
     emissions, final, _ = compute_emissions(groups, starts, padded,
                                             chunking)
     tags = tag_global(emissions, final)
+    record_ids, column_ids = symbol_ids(tags)
     padded_em = np.full(chunking.num_chunks * CHUNK, 4, dtype=np.uint8)
     padded_em[:len(DATA)] = emissions
     grid = padded_em.reshape(chunking.num_chunks, CHUNK)
@@ -70,13 +71,13 @@ def main() -> None:
               f"column-offset={kind} {int(offsets.column_values[c])}  "
               f"-> entering record={int(offsets.record_offsets[c])}, "
               f"column={int(offsets.entering_column_offsets[c])}")
-    print("\ncolumn-tags:", tags.column_ids.tolist())
-    print("record-tags:", tags.record_ids.tolist())
+    print("\ncolumn-tags:", column_ids.tolist())
+    print("record-tags:", record_ids.tolist())
 
     show("Figure 5: partitioning into per-column CSSs + indexes")
     data_mask = tags.emissions == Emission.DATA
-    part = partition_by_column(raw, data_mask, tags.column_ids,
-                               tags.record_ids, num_columns=3)
+    part = partition_by_column(raw, data_mask, column_ids, record_ids,
+                               num_columns=3)
     print("column offsets:", part.column_offsets.tolist())
     for column in range(3):
         css = part.column_css(column)

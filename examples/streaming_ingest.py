@@ -10,7 +10,7 @@ Run: ``python examples/streaming_ingest.py``
 """
 
 from repro import ParPaRawParser, ParseOptions, StreamingParser
-from repro.gpusim.cost_model import WorkloadStats
+from repro.reference.gpusim.cost_model import WorkloadStats
 from repro.reference.streaming.pipeline import StreamingPipeline
 from repro.workloads import YELP_SCHEMA, generate_yelp_like
 

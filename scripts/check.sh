@@ -264,27 +264,6 @@ with IngestService(config) as svc:
 print("planner smoke: over-budget tenant rejected at admission")
 EOF
 
-# Plan bench smoke: the auto-vs-fixed sweep must run end to end and
-# embed the chosen plan with its rationale (tiny input; the committed
-# BENCH_plan.json is produced by the full benchmark run).
-python benchmarks/bench_plan.py --bytes 65536 --repeats 1 --rounds 2 \
-    --out "$OBS_TMP/bench_plan.json" > /dev/null
-python - "$OBS_TMP/bench_plan.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-workloads = {r["workload"] for r in doc["rows"]}
-assert {"yelp", "taxi", "logs"} <= workloads, workloads
-autos = [r for r in doc["rows"] if r["config"] == "auto"]
-assert len(autos) == 3, autos
-for row in autos:
-    decision = row["decision"]
-    assert decision["rationale"], row["workload"]
-    assert decision["chosen"]["chunk_size"] == row["chunk"], row
-print("plan bench smoke:", len(doc["rows"]), "cells,",
-      sum(len(r["decision"]["candidates"]) for r in autos),
-      "candidates scored")
-EOF
-
 # Serve smoke: start the ingest service on an ephemeral port, hit it
 # with concurrent clients (one oversized request that must bounce at
 # admission with a per-tenant reject), require the served tables to be

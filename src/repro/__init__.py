@@ -3,8 +3,9 @@ raw data.
 
 Reproduces Stehle & Jacobsen, *ParPaRaw: Massively Parallel Parsing of
 Delimiter-Separated Raw Data*, VLDB 2020 — a data-parallel DFA-based
-parsing pipeline, here executed on a vectorised NumPy substrate with a
-calibrated GPU cost model for the paper's performance experiments.
+parsing pipeline, here executed on a vectorised NumPy substrate, with a
+calibrated GPU cost model (reference code) for the paper's performance
+experiments.
 
 Quick start::
 
@@ -25,12 +26,12 @@ Main entry points:
 * :mod:`repro.exec` — pluggable execution backends
   (:class:`repro.SerialExecutor`, :class:`repro.ShardedExecutor`);
 * :mod:`repro.dfa` — custom parsing rules as DFAs;
-* :mod:`repro.gpusim` — the GPU execution model;
 * :mod:`repro.baselines` — comparison parsers;
 * :mod:`repro.workloads` — synthetic dataset generators;
-* :mod:`repro.reference` — test oracles and paper-figure code (the GPU
-  data structures MFIRA and SWAR, the scalar scans, the Figure 7
-  simulator); never imported by the parse path.
+* :mod:`repro.reference` — test oracles and paper-figure code (the
+  Titan X execution model, the GPU data structures MFIRA and SWAR, the
+  scalar scans, the Figure 7 simulator); never imported by the parse
+  path.
 """
 
 from repro.columnar import Column, DataType, Field, Schema, Table

@@ -55,7 +55,6 @@ from repro import (
 )
 from repro.columnar.serialize import write_feather
 from repro.exec import SerialExecutor, ShardedExecutor
-from repro.gpusim.cost_model import PipelineCostModel, WorkloadStats
 from repro.kernels.strided import DEFAULT_TABLE_BUDGET
 from repro.obs import (
     NULL_METRICS,
@@ -147,7 +146,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         w = decision.winner
         print(f"plan: chunk={w.chunk_size} stride={w.stride} "
               f"workers={decision.workers} "
-              f"({decision.modelled_seconds * 1e3:.2f} ms modelled, "
+              f"({decision.estimated_seconds * 1e3:.2f} ms estimated, "
               f"fingerprint {decision.fingerprint})")
         # An explicit --workers wins; otherwise follow the planner.
         if args.workers == 1 and decision.workers > 1:
@@ -224,8 +223,11 @@ def cmd_sniff(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    # The Figure 7 simulator is reference code, loaded only by this
-    # subcommand (the parse path never imports repro.reference).
+    # The Titan X model and the Figure 7 simulator are reference code,
+    # loaded only by this subcommand (the parse path never imports
+    # repro.reference).
+    from repro.reference.gpusim.cost_model import (PipelineCostModel,
+                                                   WorkloadStats)
     from repro.reference.streaming.pipeline import (RESOURCES,
                                                     StreamingPipeline)
 

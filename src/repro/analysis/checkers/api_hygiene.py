@@ -42,50 +42,40 @@ ALLOWED_LAYER_IMPORTS: dict[str, frozenset[str]] = {
     # (dense relabelling via inclusive_sum), so the automaton layer may use
     # the scan primitives; repro.scan remains a leaf and never imports back.
     "repro.dfa": frozenset({"repro.scan"}),
-    "repro.gpusim": frozenset({"repro.dfa"}),
     "repro.kernels": frozenset({"repro.dfa", "repro.obs"}),
     "repro.core": frozenset({"repro.scan", "repro.columnar", "repro.dfa",
-                             "repro.gpusim", "repro.kernels",
-                             "repro.obs"}),
+                             "repro.kernels", "repro.obs"}),
     "repro.exec": frozenset({"repro.scan", "repro.columnar", "repro.dfa",
-                             "repro.gpusim", "repro.kernels",
-                             "repro.core", "repro.obs"}),
+                             "repro.kernels", "repro.core", "repro.obs"}),
     "repro.streaming": frozenset({"repro.scan", "repro.columnar",
-                                  "repro.dfa", "repro.gpusim",
-                                  "repro.kernels",
+                                  "repro.dfa", "repro.kernels",
                                   "repro.core", "repro.exec",
                                   "repro.obs"}),
-    # The planner closes the obs -> gpusim -> options loop: it reads the
-    # cost model and calibrates it with observed timings, and it builds
-    # ParseOptions — but repro.core never imports it back (the parser
-    # reaches the default planner through a registered factory).
+    # The planner closes the obs -> options loop: it prices
+    # configurations from observed timings and builds ParseOptions — but
+    # repro.core never imports it back (the parser reaches the default
+    # planner through a registered factory).
     "repro.plan": frozenset({"repro.scan", "repro.columnar", "repro.dfa",
-                             "repro.gpusim", "repro.kernels",
-                             "repro.core", "repro.obs"}),
+                             "repro.kernels", "repro.core", "repro.obs"}),
     # The service sits at the top of the stack: it may orchestrate
     # everything below it, and nothing below may import it back.
     "repro.serve": frozenset({"repro.scan", "repro.columnar",
-                              "repro.dfa", "repro.gpusim",
-                              "repro.kernels", "repro.core",
+                              "repro.dfa", "repro.kernels", "repro.core",
                               "repro.exec", "repro.obs",
                               "repro.streaming", "repro.plan"}),
     "repro.baselines": frozenset({"repro.scan", "repro.columnar",
-                                  "repro.dfa", "repro.gpusim",
-                                  "repro.core"}),
+                                  "repro.dfa", "repro.core"}),
     "repro.workloads": frozenset({"repro.scan", "repro.columnar",
-                                  "repro.dfa", "repro.gpusim",
-                                  "repro.core"}),
+                                  "repro.dfa", "repro.core"}),
     # Test oracles and figure code: they may use any production layer,
     # and no production package may import them back (the root package
     # and __main__ are outside this table; only `simulate` loads the
-    # Figure 7 simulator, inside the function).
+    # Titan X model and the Figure 7 simulator, inside the function).
     "repro.reference": frozenset({"repro.scan", "repro.columnar",
-                                  "repro.dfa", "repro.gpusim",
-                                  "repro.kernels", "repro.core",
-                                  "repro.obs"}),
+                                  "repro.dfa", "repro.kernels",
+                                  "repro.core", "repro.obs"}),
     "repro.analysis": frozenset({"repro.scan", "repro.columnar",
-                                 "repro.dfa", "repro.gpusim",
-                                 "repro.core", "repro.exec",
+                                 "repro.dfa", "repro.core", "repro.exec",
                                  "repro.reference"}),
 }
 

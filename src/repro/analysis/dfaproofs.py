@@ -58,10 +58,10 @@ from repro.dfa.minimize import (
     canonicalize,
     equivalent,
     included,
-    is_canonical,
     parallel_partition,
 )
-from repro.reference.dfa.minimize import hopcroft_partition, same_partition
+from repro.reference.dfa.minimize import (hopcroft_partition, is_canonical,
+                                          same_partition)
 from repro.reference.dfa.registry import registered_dfas
 
 __all__ = ["ProofViolation", "lenient_rfc4180_dfa", "verify_automaton",

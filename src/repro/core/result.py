@@ -63,33 +63,6 @@ class ParseResult:
         total = self.timer.total()
         return self.input_bytes / total if total > 0 else 0.0
 
-    def workload_stats(self):
-        """This parse's shape as :class:`~repro.gpusim.cost_model.WorkloadStats`.
-
-        Bridges a real parse to the GPU cost model: feed the returned
-        statistics to :class:`~repro.gpusim.cost_model.PipelineCostModel`
-        to estimate what the same workload would cost on the simulated
-        device.
-        """
-        from repro.core.options import TaggingMode
-        from repro.gpusim.cost_model import WorkloadStats
-
-        tag_bytes = {TaggingMode.TAGGED: 4.0, TaggingMode.INLINE: 0.0,
-                     TaggingMode.DELIMITED: 0.125}[self.options.tagging_mode]
-        # Every non-string column costs conversion work (bool included).
-        from repro.columnar.schema import DataType
-        numeric = sum(1 for f in self.table.schema
-                      if f.dtype is not DataType.STRING)
-        return WorkloadStats.from_result(
-            input_bytes=self.input_bytes,
-            chunk_size=self.options.chunk_size,
-            num_states=self.options.resolved_dfa().num_states,
-            num_columns=max(1, self.table.num_columns),
-            num_records=max(1, self.num_rows),
-            numeric_columns=numeric,
-            record_tag_bytes=tag_bytes,
-        )
-
     def __repr__(self) -> str:
         return (f"ParseResult(rows={self.num_rows}, "
                 f"records={self.num_records}, "

@@ -10,7 +10,8 @@ symbol with the record and column it belongs to.
 Those tags only change at delimiters, so they are carried once per
 *segment* — the span from just after one delimiter up to and including the
 next — rather than once per symbol: ``O(num_fields)`` memory, expanded
-per symbol only on demand (:attr:`TagResult.record_ids`), and int32
+per symbol only by the test helper
+:func:`repro.reference.core.tagging.symbol_ids`, and int32
 whenever the input fits (:func:`index_dtype`).
 
 :func:`tag_global` computes the segment tags from the delimiter positions
@@ -90,23 +91,10 @@ class TagResult:
     #: ``(m + 1,)`` — column of every symbol of segment ``j``.
     segment_columns: np.ndarray
 
-    @property
-    def record_ids(self) -> np.ndarray:
-        """``(n,)`` record of each symbol, expanded from the segments."""
-        return np.repeat(self.segment_records, self._lengths())
-
-    @property
-    def column_ids(self) -> np.ndarray:
-        """``(n,)`` column of each symbol, expanded from the segments."""
-        return np.repeat(self.segment_columns, self._lengths())
-
     def record_at(self, position: int) -> int:
         """The record the symbol at ``position`` belongs to."""
         segment = np.searchsorted(self.delim_positions, position)
         return int(self.segment_records[segment])
-
-    def _lengths(self) -> np.ndarray:
-        return segment_lengths(self.delim_positions, self.emissions.size)
 
 
 def _delimiter_positions(emissions: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from repro.dfa.minimize import (
     canonicalize,
     equivalent,
     included,
-    is_canonical,
     minimize,
 )
 from repro.dfa.sniffer import SniffResult, sniff_dialect
@@ -54,7 +53,6 @@ __all__ = [
     "Minimization",
     "minimize",
     "canonicalize",
-    "is_canonical",
     "equivalent",
     "included",
 ]

@@ -9,8 +9,7 @@ memory, which is what makes the per-thread multi-DFA simulation viable on a
 GPU.
 
 :func:`group_symbols` performs the collapse for an arbitrary 256-row table
-and is used both to verify that hand-built DFAs are minimal and to compress
-user-supplied tables.
+and compresses user-supplied tables.
 """
 
 from __future__ import annotations
@@ -19,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dfa.automaton import Dfa, NUM_BYTE_VALUES
+from repro.dfa.automaton import NUM_BYTE_VALUES
 from repro.errors import DfaError
 
-__all__ = ["CompressedTable", "group_symbols", "expand_table", "is_minimal"]
+__all__ = ["CompressedTable", "group_symbols"]
 
 
 @dataclass(frozen=True)
@@ -81,24 +80,3 @@ def group_symbols(full_table: np.ndarray) -> CompressedTable:
         groups[byte] = idx
     return CompressedTable(symbol_groups=groups,
                            transitions=np.stack(rows).astype(full_table.dtype))
-
-
-def expand_table(dfa: Dfa) -> np.ndarray:
-    """Expand a DFA's grouped table back to the full 256-row form."""
-    return dfa.transitions[dfa.symbol_groups]
-
-
-def is_minimal(dfa: Dfa) -> bool:
-    """Whether the DFA's grouping is the coarsest possible.
-
-    True when no two of its symbol groups have identical transition *and*
-    emission behaviour.  The paper's hand-built tables are minimal; builder
-    users may over-split, which is legal but wastes table space.
-    """
-    signatures = set()
-    for g in range(dfa.num_groups):
-        key = (dfa.transitions[g].tobytes(), dfa.emissions[:, g].tobytes())
-        if key in signatures:
-            return False
-        signatures.add(key)
-    return True

@@ -55,7 +55,6 @@ __all__ = [
     "parallel_partition",
     "minimize",
     "canonicalize",
-    "is_canonical",
     "structural_digest",
     "equivalent",
     "included",
@@ -344,20 +343,6 @@ def canonicalize(dfa: Dfa) -> Minimization:
         while len(_canon_cache) > MAX_CANONICAL_CACHE:
             _canon_cache.popitem(last=False)
     return result
-
-
-def is_canonical(dfa: Dfa) -> bool:
-    """Whether ``dfa`` is its own canonical form (tables and maps; the
-    human-readable names are not compared)."""
-    canonical = canonicalize(dfa).dfa
-    return (canonical.num_states == dfa.num_states
-            and canonical.num_groups == dfa.num_groups
-            and canonical.start_state == dfa.start_state
-            and canonical.invalid_state == dfa.invalid_state
-            and canonical.accepting == dfa.accepting
-            and np.array_equal(canonical.symbol_groups, dfa.symbol_groups)
-            and np.array_equal(canonical.transitions, dfa.transitions)
-            and np.array_equal(canonical.emissions, dfa.emissions))
 
 
 # -- equivalence / inclusion (product-automaton refinement) ------------------

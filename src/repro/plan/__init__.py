@@ -1,8 +1,9 @@
 """repro.plan: the self-tuning configuration planner.
 
-Sits above ``repro.gpusim`` (the calibrated cost model scores candidate
-configurations) and ``repro.obs`` (measured stage timings feed back into
-the calibration store), and below ``repro.serve`` (admission pricing).
+Prices candidate configurations from measured seconds per input byte:
+finished parses feed their step timings into the calibration store.
+Sits above ``repro.core`` and ``repro.obs``, and below ``repro.serve``
+(admission pricing).
 ``repro.core`` never imports this package — the parser facade reaches a
 shared default planner through the factory hook registered below, the
 same inversion ``repro.exec`` uses for the default executor.

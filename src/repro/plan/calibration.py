@@ -1,39 +1,36 @@
-"""The calibration store: observed stage timings rescale the cost model.
+"""The calibration store: measured parse seconds per input byte.
 
-The GPU cost model predicts the *shape* of the pipeline's costs; the
-substrate this reproduction actually runs on (vectorised NumPy) has its
-own constants.  The store closes that gap empirically: every finished
-parse contributes its measured ``stage.*.seconds`` (equivalently the
-:class:`~repro.utils.timing.StepTimer` totals, which survive the sharded
-executor's process boundary), and the store keeps per-step **ratios**
-``observed / modelled`` as exponentially weighted moving averages.
+Every finished parse contributes one measurement, its step timer's total
+seconds over its input bytes, and the store keeps an exponentially
+weighted moving average of that rate at three levels of key:
 
-Two granularities, keyed by workload fingerprint
-(:func:`~repro.plan.stats.workload_fingerprint`):
+* a *configuration* key (fingerprint + chunk bucket + stride,
+  :func:`config_key`) — what candidate scoring prefers, so a
+  configuration the planner has run is priced by what it measured;
+* the workload *fingerprint*
+  (:func:`~repro.plan.stats.workload_fingerprint`) — every configuration
+  measured on that workload shape;
+* one *store-wide* entry — every measurement, what prices a request
+  whose shape the store has never seen.
 
-* a *workload-wide* scale per step — what :meth:`Planner.estimate_cost`
-  uses to price requests it has never run at the requested shape;
-* a *per-configuration* scale per step (fingerprint + chunk bucket +
-  stride) — what candidate scoring prefers, so a configuration the
-  planner has actually tried is ranked by what it measured, not what
-  the model guessed.
-
-The EWMA is monotone: under a constant observed workload each ratio —
-and therefore the calibrated estimate — moves toward the measurement on
-every update and never overshoots (tested in
-``tests/plan/test_calibration.py``).
+Each update moves an average toward the new measurement and never past
+it, so every average stays within the range of what its key observed
+(tested in ``tests/plan/test_calibration.py``).  Concurrent dispatchers
+of a service observe and look up through one lock.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+import threading
 
-from repro.gpusim.cost_model import StepCosts
+__all__ = ["CalibrationStore", "ALPHA", "STORE_WIDE", "chunk_bucket",
+           "config_key"]
 
-__all__ = ["CalibrationStore", "STEPS", "chunk_bucket", "config_key"]
+#: Weight of the newest measurement in each moving average.
+ALPHA = 0.5
 
-#: The cost-model steps the store calibrates (the Figure 9 breakdown).
-STEPS = ("parse", "scan", "tag", "partition", "convert")
+#: Key of the store-wide entry (no fingerprint starts with it).
+STORE_WIDE = "*"
 
 
 def chunk_bucket(chunk_size: int) -> int:
@@ -51,58 +48,41 @@ def config_key(fingerprint: str, chunk_size: int, stride: int) -> str:
 
 
 class CalibrationStore:
-    """Per-fingerprint EWMA ratios of observed over modelled step cost."""
+    """EWMAs of measured seconds per input byte, per key."""
 
-    def __init__(self, alpha: float = 0.5):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        #: key -> step -> EWMA of observed/modelled.
-        self._scales: dict[str, dict[str, float]] = {}
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: key -> EWMA of measured seconds per input byte.
+        self._rates: dict[str, float] = {}
         #: Bumped on every observation; planners use it to notice that a
         #: cached decision predates newer evidence.
         self.version = 0
 
-    # -- recording ---------------------------------------------------------
+    def observe(self, key: str, fingerprint: str,
+                seconds_per_byte: float) -> None:
+        """Fold one measured rate into ``key``'s, ``fingerprint``'s and
+        the store-wide average."""
+        with self._lock:
+            for name in (key, fingerprint, STORE_WIDE):
+                previous = self._rates.get(name)
+                self._rates[name] = seconds_per_byte if previous is None \
+                    else ALPHA * seconds_per_byte + (1.0 - ALPHA) * previous
+            self.version += 1
 
-    def observe(self, key: str, measured: Mapping[str, float],
-                modelled: StepCosts) -> None:
-        """Fold one run's measured step seconds into ``key``'s scales."""
-        scales = self._scales.setdefault(key, {})
-        modelled_steps = modelled.as_dict()
-        for step in STEPS:
-            observed = measured.get(step)
-            predicted = modelled_steps[step]
-            if observed is None or observed <= 0.0 or predicted <= 0.0:
-                continue
-            ratio = observed / predicted
-            previous = scales.get(step)
-            scales[step] = ratio if previous is None \
-                else self.alpha * ratio + (1.0 - self.alpha) * previous
-        self.version += 1
-
-    # -- lookup ------------------------------------------------------------
-
-    def scale(self, key: str, step: str,
-              fallback_key: str | None = None) -> float:
-        """The scale for one step, falling back key -> fallback -> 1.0."""
-        for candidate in (key, fallback_key):
-            if candidate is None:
-                continue
-            scales = self._scales.get(candidate)
-            if scales is not None and step in scales:
-                return scales[step]
-        return 1.0
+    def rate(self, *keys: str) -> float | None:
+        """The average of the first of ``keys`` the store has measured,
+        else the store-wide one; ``None`` before any observation."""
+        with self._lock:
+            for key in (*keys, STORE_WIDE):
+                if key in self._rates:
+                    return self._rates[key]
+        return None
 
     def observed(self, key: str) -> bool:
-        return key in self._scales
+        with self._lock:
+            return key in self._rates
 
-    def apply(self, costs: StepCosts, key: str,
-              fallback_key: str | None = None) -> StepCosts:
-        """``costs`` rescaled by this store's evidence for ``key``."""
-        return costs.scaled({step: self.scale(key, step, fallback_key)
-                             for step in STEPS})
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
+    def snapshot(self) -> dict[str, float]:
         """A JSON-friendly copy (benchmark artefacts, status endpoints)."""
-        return {key: dict(scales) for key, scales in self._scales.items()}
+        with self._lock:
+            return dict(self._rates)

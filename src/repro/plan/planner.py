@@ -1,4 +1,4 @@
-"""The self-tuning planner: probe, enumerate, score, adapt.
+"""The self-tuning planner: probe, enumerate, price, adapt.
 
 Static half: :meth:`Planner.plan` probes the input
 (:func:`~repro.plan.stats.probe_input`), enumerates candidates over the
@@ -6,18 +6,24 @@ knob space — ``chunk_size`` × ``kernel_stride`` (plus a ``workers``
 recommendation) — filters strides by table-budget feasibility
 (:func:`~repro.kernels.strided.plan_nbytes` against
 ``kernel_table_budget``, the same arithmetic as
-:func:`~repro.kernels.strided.pick_stride`), scores the survivors with
-the calibrated :class:`~repro.gpusim.cost_model.PipelineCostModel`, and
-materialises the winner as concrete :class:`ParseOptions`.  The
-:class:`PlanDecision` keeps every candidate with its score and the
-reason it lost.
+:func:`~repro.kernels.strided.pick_stride`), prices the survivors at
+``input_bytes`` times a measured rate, and materialises the winner as
+concrete :class:`ParseOptions`.  The :class:`PlanDecision` keeps every
+candidate with its price and the reason it lost.
+
+A candidate's rate is the first the
+:class:`~repro.plan.calibration.CalibrationStore` holds of: its
+configuration key, the workload fingerprint, the store-wide average —
+else :data:`DEFAULT_SECONDS_PER_BYTE`.  A candidate without a
+measurement of its own is priced no lower than the best measured one,
+and ties go to the configured ``chunk_size`` and resolved stride, so an
+uncalibrated planner runs what an unplanned parse runs.
 
 Online half: :meth:`Planner.observe` folds a finished parse's measured
-step seconds into the :class:`~repro.plan.calibration.CalibrationStore`,
-so the next :meth:`plan` — the next partition of a stream, the next
-request of a service — scores candidates against observed rather than
-modelled costs.  :meth:`Planner.refine` closes the loop actively by
-running the most promising unexplored candidates once each.
+seconds per byte into the store, so the next :meth:`plan` — the next
+partition of a stream, the next request of a service — prices
+candidates by what they measured.  :meth:`Planner.refine` closes the
+loop actively by running unmeasured candidates once each.
 
 Every decision emits ``plan.*`` spans and metrics (see
 ``docs/PLANNER.md`` for the full name list).
@@ -28,36 +34,30 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from repro.columnar.schema import DataType
 from repro.core.options import ParseOptions
-from repro.gpusim.cost_model import PipelineCostModel, StepCosts
 from repro.kernels.strided import SUPPORTED_STRIDES, plan_nbytes
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.plan.calibration import CalibrationStore, STEPS, chunk_bucket, \
+from repro.plan.calibration import CalibrationStore, chunk_bucket, \
     config_key
 from repro.plan.stats import InputStats, probe_input, workload_fingerprint
 
 __all__ = ["Planner", "PlanDecision", "PlanCandidate",
-           "CHUNK_CANDIDATES", "WORKERS_INPUT_THRESHOLD"]
+           "CHUNK_CANDIDATES", "DEFAULT_SECONDS_PER_BYTE",
+           "WORKERS_INPUT_THRESHOLD"]
 
 MiB = 1024 ** 2
 
-#: Chunk sizes every enumeration considers (plus the configured size and
-#: the cost model's own suggestion).  Spans the paper's 4-64 B range and
-#: the larger sizes the vectorised substrate rewards; calibration decides
-#: between them once measurements exist.
+#: Chunk sizes every enumeration considers (plus the configured size).
+#: Spans the paper's 4-64 B range and the larger sizes the vectorised
+#: substrate may reward; measurements decide between them.
 CHUNK_CANDIDATES = (16, 31, 64, 128)
 
-#: Modelled stv+tag speedup of a k-stride sweep over unit stride is
-#: ``k**EXPONENT`` — sublinear, matching the measured stride sweeps
-#: (table gathers amortise dispatch but not bandwidth).
-STRIDE_SPEEDUP_EXPONENT = 0.5
-
-#: Modelled partition-cost factor of the ``O(n + fields)`` field-run
-#: partition every parse runs, relative to the radix sort the cost model
-#: prices.  Hand-set: the end-to-end benchmark (``BENCHMARK.json``)
-#: times the field-run path as its ``stage.partition.ms`` layer.
-FIELD_RUN_PARTITION_FACTOR = 0.35
+#: The rate a store without any measurement prices at: 20 MiB/s, the
+#: middle of the library's end-to-end throughputs on the 8 MiB
+#: benchmark workloads (15-30 MiB/s).
+DEFAULT_SECONDS_PER_BYTE = 1.0 / (20 * MiB)
 
 #: Inputs below this run serial: a process pool's spawn/ship overhead
 #: needs tens of megabytes of byte-bound work to amortise.
@@ -69,14 +69,14 @@ MAX_PLAN_WORKERS = 4
 
 @dataclass(frozen=True)
 class PlanCandidate:
-    """One point of the knob space, scored (or ruled out)."""
+    """One point of the knob space, priced (or ruled out)."""
 
     chunk_size: int
     stride: int
     feasible: bool
-    #: Calibrated modelled seconds; ``None`` for infeasible candidates.
-    modelled_seconds: float | None
-    #: ``True`` when the score used per-configuration observed evidence.
+    #: Estimated seconds; ``None`` for infeasible candidates.
+    estimated_seconds: float | None
+    #: ``True`` when the price is this configuration's own measurement.
     calibrated: bool
     chosen: bool
     #: Why the candidate lost (or ``"chosen"``).
@@ -87,7 +87,7 @@ class PlanCandidate:
             "chunk_size": self.chunk_size,
             "kernel_stride": self.stride,
             "feasible": self.feasible,
-            "modelled_seconds": self.modelled_seconds,
+            "estimated_seconds": self.estimated_seconds,
             "calibrated": self.calibrated,
             "chosen": self.chosen,
             "reason": self.reason,
@@ -103,11 +103,8 @@ class PlanDecision:
     fingerprint: str
     stats: InputStats
     candidates: tuple[PlanCandidate, ...]
-    modelled_seconds: float
+    estimated_seconds: float
     calibrated: bool
-    #: Largest input the simulated device could parse at this shape
-    #: (:meth:`PipelineCostModel.max_input_for_device`).
-    device_ceiling_bytes: int
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     @property
@@ -115,13 +112,13 @@ class PlanDecision:
         return next(c for c in self.candidates if c.chosen)
 
     def rationale(self) -> list[str]:
-        """Human-readable decision log (embedded in bench artefacts)."""
+        """Human-readable decision log."""
         w = self.winner
         lines = [
             f"fingerprint {self.fingerprint}: chose chunk_size="
             f"{w.chunk_size} kernel_stride={w.stride} "
             f"workers={self.workers} "
-            f"({self.modelled_seconds * 1e3:.2f} ms modelled"
+            f"({self.estimated_seconds * 1e3:.2f} ms estimated"
             f"{', calibrated' if self.calibrated else ''})"]
         for c in self.candidates:
             if c.chosen:
@@ -140,9 +137,8 @@ class PlanDecision:
                 "kernel_stride": self.chosen.kernel_stride,
                 "workers": self.workers,
             },
-            "modelled_seconds": self.modelled_seconds,
+            "estimated_seconds": self.estimated_seconds,
             "calibrated": self.calibrated,
-            "device_ceiling_bytes": self.device_ceiling_bytes,
             "candidates": [c.as_dict() for c in self.candidates],
             "rationale": self.rationale(),
         }
@@ -157,43 +153,20 @@ class Planner:
     process-wide default).
     """
 
-    def __init__(self, model: PipelineCostModel | None = None,
-                 store: CalibrationStore | None = None,
+    def __init__(self, store: CalibrationStore | None = None,
                  tracer: Tracer = NULL_TRACER,
                  metrics: MetricsRegistry = NULL_METRICS):
-        self.model = model if model is not None else PipelineCostModel()
         self.store = store if store is not None else CalibrationStore()
         self.tracer = tracer
         self.metrics = metrics
         #: fingerprint -> last PlanDecision (re-plan change detection).
         self._decisions: dict[str, PlanDecision] = {}
-        #: fingerprint -> last InputStats (admission pricing shape).
-        self._shapes: dict[str, InputStats] = {}
-        self._default_shape: InputStats | None = None
 
-    # -- scoring -----------------------------------------------------------
-
-    def _modelled(self, stats: InputStats, input_bytes: int,
-                  chunk_size: int, stride: int) -> StepCosts:
-        """Model prediction for one configuration (before calibration)."""
-        base = self.model.step_costs(
-            stats.stats_factory()(max(1, input_bytes),
-                                  chunk_size=chunk_size))
-        sweep = float(stride) ** -STRIDE_SPEEDUP_EXPONENT
-        return StepCosts(parse=base.parse * sweep, scan=base.scan,
-                         tag=base.tag * sweep,
-                         partition=base.partition
-                         * FIELD_RUN_PARTITION_FACTOR,
-                         convert=base.convert)
-
-    def _score(self, stats: InputStats, fingerprint: str,
-               input_bytes: int, chunk_size: int,
-               stride: int) -> tuple[float, bool]:
-        """(calibrated seconds, used-per-config-evidence) for one cell."""
-        costs = self._modelled(stats, input_bytes, chunk_size, stride)
-        key = config_key(fingerprint, chunk_size, stride)
-        calibrated = self.store.observed(key)
-        return self.store.apply(costs, key, fingerprint).total, calibrated
+    def _rate(self, *keys: str) -> float:
+        """Seconds per byte: the store's first of ``keys``, then its
+        store-wide average, then the prior."""
+        rate = self.store.rate(*keys)
+        return DEFAULT_SECONDS_PER_BYTE if rate is None else rate
 
     # -- static planning ----------------------------------------------------
 
@@ -212,8 +185,6 @@ class Planner:
         else:
             stats = probe_input(data, base)
         fingerprint = stats.fingerprint()
-        self._shapes[fingerprint] = stats
-        self._default_shape = stats
 
         decision = self._decide(stats, fingerprint, base)
         previous = self._decisions.get(fingerprint)
@@ -225,16 +196,16 @@ class Planner:
             metrics.gauge("plan.chunk_size", w.chunk_size)
             metrics.gauge("plan.kernel_stride", w.stride)
             metrics.gauge("plan.workers", decision.workers)
-            metrics.observe("plan.modelled.seconds",
-                            decision.modelled_seconds)
+            metrics.observe("plan.estimated.seconds",
+                            decision.estimated_seconds)
         if tracer.enabled:
             with tracer.span("plan.decide", fingerprint=fingerprint,
                              chunk_size=w.chunk_size,
                              kernel_stride=w.stride,
                              workers=decision.workers,
                              calibrated=decision.calibrated,
-                             modelled_ms=round(
-                                 decision.modelled_seconds * 1e3, 3)):
+                             estimated_ms=round(
+                                 decision.estimated_seconds * 1e3, 3)):
                 pass
         if previous is not None and previous.chosen != decision.chosen:
             if metrics.enabled:
@@ -272,27 +243,26 @@ class Planner:
                                     f"table budget {budget} B"))
             strides.append((1, True, ""))
 
-        # Chunk-size candidates: the configured size, the ladder, and
-        # the cost model's own suggestion (suggest_chunk_size wired in).
-        suggested = self.model.suggest_chunk_size(
-            stats.stats_factory(), input_bytes)
-        chunks = sorted({base.chunk_size, suggested, *CHUNK_CANDIDATES})
-
+        chunks = sorted({base.chunk_size, *CHUNK_CANDIDATES})
         scored: list[dict] = []
         for chunk in chunks:
             for stride, feasible, why in strides:
-                if not feasible:
-                    scored.append(dict(
-                        chunk_size=chunk, stride=stride, feasible=False,
-                        seconds=None, calibrated=False, reason=why))
-                    continue
-                seconds, calibrated = self._score(
-                    stats, fingerprint, input_bytes, chunk, stride)
+                key = config_key(fingerprint, chunk, stride)
                 scored.append(dict(
-                    chunk_size=chunk, stride=stride, feasible=True,
-                    seconds=seconds, calibrated=calibrated, reason=why))
-        best = min((c for c in scored if c["feasible"]),
-                   key=lambda c: c["seconds"])
+                    chunk_size=chunk, stride=stride, feasible=feasible,
+                    rate=self._rate(key, fingerprint),
+                    calibrated=feasible and self.store.observed(key),
+                    seconds=None, reason=why))
+        feasible = [c for c in scored if c["feasible"]]
+        measured = [c["rate"] for c in feasible if c["calibrated"]]
+        for c in feasible:
+            if measured and not c["calibrated"]:
+                c["rate"] = max(c["rate"], min(measured))
+            c["seconds"] = input_bytes * c["rate"]
+        preferred = (base.chunk_size, base.resolved_stride())
+        best = min(feasible, key=lambda c: (
+            c["seconds"], not c["calibrated"],
+            (c["chunk_size"], c["stride"]) != preferred))
 
         candidates = []
         for c in scored:
@@ -302,13 +272,13 @@ class Planner:
             elif not c["feasible"]:
                 reason = c["reason"]
             else:
-                reason = (f"modelled {c['seconds'] * 1e3:.2f} ms vs "
+                reason = (f"estimated {c['seconds'] * 1e3:.2f} ms vs "
                           f"{best['seconds'] * 1e3:.2f} ms"
                           + (" (calibrated)" if c["calibrated"] else ""))
             candidates.append(PlanCandidate(
                 chunk_size=c["chunk_size"], stride=c["stride"],
                 feasible=c["feasible"],
-                modelled_seconds=c["seconds"],
+                estimated_seconds=c["seconds"],
                 calibrated=c["calibrated"], chosen=chosen, reason=reason))
 
         chosen_options = base.with_(
@@ -321,21 +291,12 @@ class Planner:
             notes.append(f"input >= {WORKERS_INPUT_THRESHOLD >> 20} MiB: "
                          f"recommending {workers} shard workers")
 
-        ceiling = self.model.max_input_for_device(
-            stats.stats_factory(),
-            record_tag_bytes=stats.record_tag_bytes)
-        if stats.input_bytes > ceiling:
-            notes.append(
-                f"input exceeds the simulated device-memory ceiling "
-                f"({ceiling} B); stream in partitions")
-
         return PlanDecision(
             chosen=chosen_options, workers=workers,
             fingerprint=fingerprint, stats=stats,
             candidates=tuple(candidates),
-            modelled_seconds=best["seconds"],
-            calibrated=best["calibrated"],
-            device_ceiling_bytes=ceiling, notes=tuple(notes))
+            estimated_seconds=best["seconds"],
+            calibrated=best["calibrated"], notes=tuple(notes))
 
     def plan_options(self, data, options: ParseOptions | None = None,
                      tracer: Tracer | None = None,
@@ -349,7 +310,8 @@ class Planner:
 
     def observe(self, result, metrics: MetricsRegistry | None = None
                 ) -> str:
-        """Fold a finished parse's measured stage seconds into the store.
+        """Fold a finished parse's measured seconds per byte into the
+        store.
 
         ``result`` is a :class:`~repro.core.result.ParseResult`; returns
         the fingerprint the observation calibrated.  Works identically
@@ -357,38 +319,20 @@ class Planner:
         boundary, so both calibrate the same fingerprint.
         """
         metrics = metrics if metrics is not None else self.metrics
-        options = result.options
-        ws = result.workload_stats()
-        avg_record = result.input_bytes / max(1, result.num_rows)
+        options, table = result.options, result.table
+        columns = max(1, table.num_columns)
+        # Every non-string column costs conversion work (bool included).
+        numeric = sum(1 for f in table.schema
+                      if f.dtype is not DataType.STRING)
         fingerprint = workload_fingerprint(
-            options.dialect, ws.num_columns, avg_record,
-            ws.numeric_field_fraction)
-        measured = {step: seconds
-                    for step, seconds in result.step_seconds().items()
-                    if step in STEPS}
-        if not measured or result.input_bytes == 0:
+            options.dialect, columns,
+            result.input_bytes / max(1, result.num_rows), numeric / columns)
+        seconds = result.timer.total()
+        if seconds <= 0.0 or result.input_bytes == 0:
             return fingerprint
-
-        stride = options.resolved_stride()
-        stats = InputStats(
-            input_bytes=result.input_bytes,
-            sample_bytes=result.input_bytes, dialect=options.dialect,
-            sniffed_agrees=True, num_columns=ws.num_columns,
-            records_sampled=result.num_rows,
-            avg_record_bytes=avg_record,
-            fields_per_byte=ws.num_columns / max(1.0, avg_record),
-            quote_rate=0.0,
-            numeric_fraction=ws.numeric_field_fraction,
-            num_states=ws.num_states,
-            record_tag_bytes=ws.record_tag_bytes)
-        modelled = self._modelled(stats, result.input_bytes,
-                                  options.chunk_size, stride)
-        key = config_key(fingerprint, options.chunk_size, stride)
-        self.store.observe(key, measured, modelled)
-        self.store.observe(fingerprint, measured, modelled)
-        self._shapes.setdefault(fingerprint, stats)
-        if self._default_shape is None:
-            self._default_shape = stats
+        key = config_key(fingerprint, options.chunk_size,
+                         options.resolved_stride())
+        self.store.observe(key, fingerprint, seconds / result.input_bytes)
         if metrics.enabled:
             metrics.count("plan.calibration.updates")
             metrics.gauge("plan.calibration.version", self.store.version)
@@ -396,19 +340,15 @@ class Planner:
 
     def refine(self, data, options: ParseOptions | None = None,
                rounds: int = 4, executor=None) -> PlanDecision:
-        """Actively close the loop: measure promising candidates, re-plan.
+        """Actively close the loop: measure candidates, re-plan.
 
-        Each round plans, then runs the best-scored candidate whose
-        configuration has no observed evidence yet (one real parse) and
-        feeds the measurement back.  Chunk size is explored
-        breadth-first: calibration extrapolates stride scalings across
-        chunk buckets via the workload-wide fallback, but each chunk
-        bucket's cache behaviour must be measured — so every unmeasured
-        bucket gets its best-modelled configuration timed before any
-        round is spent on a stride variant of a bucket that already has
-        evidence.  Stops early once the top
-        candidates are all calibrated.  Returns the final,
-        evidence-backed decision.
+        Each round plans, then runs the cheapest-priced candidate whose
+        configuration has no measurement yet (one real parse) and feeds
+        the measurement back.  Chunk size is explored breadth-first:
+        every unmeasured chunk bucket gets a configuration timed before
+        any round is spent on a stride variant of a bucket that already
+        has one.  Stops early once every feasible candidate is measured.
+        Returns the final, evidence-backed decision.
         """
         from repro.core.parser import ParPaRawParser
         base = options if options is not None else ParseOptions()
@@ -424,7 +364,7 @@ class Planner:
             fresh = [c for c in unexplored
                      if chunk_bucket(c.chunk_size) not in explored_buckets]
             target = min(fresh or unexplored,
-                         key=lambda c: c.modelled_seconds)
+                         key=lambda c: c.estimated_seconds)
             trial = base.with_(
                 plan=None, chunk_size=target.chunk_size,
                 kernel_stride=target.stride)
@@ -440,42 +380,19 @@ class Planner:
                       fingerprint: str | None = None) -> float:
         """Estimated seconds to parse ``input_bytes`` at ``options``.
 
-        Prices against the best shape evidence available: the requested
-        fingerprint's remembered statistics, else the most recent shape
-        this planner has seen, else a generic delimiter-file shape.
-        Calibration sharpens the estimate as requests complete — the
-        ingest service uses this to price ``retry_after`` hints and
-        per-tenant cost budgets.
+        Priced like a plan candidate: ``input_bytes`` times the rate of
+        the configuration key, else the fingerprint (both only when
+        ``fingerprint`` is given), else the store-wide average, else the
+        prior.  The estimate sharpens as requests complete — the ingest
+        service uses it to price ``retry_after`` hints and per-tenant
+        cost budgets.
         """
-        base = options if options is not None else _GENERIC_OPTIONS
-        stats = None
+        keys: tuple[str, ...] = ()
         if fingerprint is not None:
-            stats = self._shapes.get(fingerprint)
-        if stats is None:
-            stats = self._default_shape
-        if stats is None:
-            stats = _generic_shape(base)
-        fp = fingerprint if fingerprint is not None \
-            else stats.fingerprint()
-        stride = base.resolved_stride()
-        costs = self._modelled(stats, max(1, int(input_bytes)),
-                               base.chunk_size, stride)
-        key = config_key(fp, base.chunk_size, stride)
-        estimate = self.store.apply(costs, key, fp).total
+            base = options if options is not None else ParseOptions()
+            keys = (config_key(fingerprint, base.chunk_size,
+                               base.resolved_stride()), fingerprint)
+        estimate = max(1, int(input_bytes)) * self._rate(*keys)
         if self.metrics.enabled:
             self.metrics.observe("plan.estimate.seconds", estimate)
         return estimate
-
-
-_GENERIC_OPTIONS = ParseOptions()
-
-
-def _generic_shape(options: ParseOptions) -> InputStats:
-    """A nondescript delimiter-file shape for never-seen workloads."""
-    return InputStats(
-        input_bytes=0, sample_bytes=0, dialect=options.dialect,
-        sniffed_agrees=True, num_columns=8, records_sampled=0,
-        avg_record_bytes=100.0, fields_per_byte=0.08, quote_rate=0.0,
-        numeric_fraction=0.25,
-        num_states=options.resolved_dfa().num_states,
-        record_tag_bytes=4.0)

@@ -3,11 +3,8 @@
 The planner never looks at the whole input — :func:`probe_input` parses a
 bounded leading sample (64 KiB by default) with the configured dialect,
 cross-checks the dialect against :func:`repro.dfa.sniffer.sniff_dialect`,
-and condenses what it saw into an :class:`InputStats`: field density,
-record length, quote rate, column count and the numeric-field fraction.
-Those are exactly the axes of :class:`~repro.gpusim.cost_model.WorkloadStats`,
-so the stats plug straight into the calibrated cost model
-(:meth:`InputStats.workload` / :meth:`InputStats.stats_factory`).
+and condenses what it saw into an :class:`InputStats`: record length,
+column count and the numeric-field fraction.
 
 Workload *fingerprints* (:func:`workload_fingerprint`) bucket the stats
 coarsely — delimiter, quoting, column count, log2 record length, quartile
@@ -22,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.options import ParseOptions, TaggingMode
+from repro.core.options import ParseOptions
 from repro.dfa.dialects import Dialect
 from repro.errors import DialectError, ParseError
-from repro.gpusim.cost_model import WorkloadStats
 
 __all__ = ["InputStats", "probe_input", "workload_fingerprint",
            "DEFAULT_SAMPLE_BYTES"]
@@ -34,10 +30,6 @@ __all__ = ["InputStats", "probe_input", "workload_fingerprint",
 #: estimates on any sane record length, small enough that probing costs
 #: a few milliseconds against partitions hundreds of times larger.
 DEFAULT_SAMPLE_BYTES = 64 * 1024
-
-#: Record-tag bytes per symbol by tagging mode (see ``WorkloadStats``).
-_TAG_BYTES = {TaggingMode.TAGGED: 4.0, TaggingMode.INLINE: 0.0,
-              TaggingMode.DELIMITED: 0.125}
 
 
 def workload_fingerprint(dialect: Dialect, num_columns: int,
@@ -75,56 +67,13 @@ class InputStats:
     num_columns: int
     records_sampled: int
     avg_record_bytes: float
-    #: Fields per input byte — the density driving tag/convert cost.
-    fields_per_byte: float
-    #: Fraction of sample bytes that are the quote character.
-    quote_rate: float
     #: Fraction of columns needing numeric/temporal conversion.
     numeric_fraction: float
-    #: States of the automaton the parse will simulate.
-    num_states: int
-    #: Record-tag bytes per symbol (by tagging mode).
-    record_tag_bytes: float
 
     def fingerprint(self) -> str:
         return workload_fingerprint(self.dialect, self.num_columns,
                                     self.avg_record_bytes,
                                     self.numeric_fraction)
-
-    def workload(self, input_bytes: int | None = None,
-                 chunk_size: int = 31) -> WorkloadStats:
-        """These statistics as cost-model :class:`WorkloadStats`."""
-        return self.stats_factory()(
-            self.input_bytes if input_bytes is None else input_bytes,
-            chunk_size=chunk_size)
-
-    def stats_factory(self):
-        """A ``yelp_like``-shaped factory over this probe's densities.
-
-        Matches the calling convention of
-        :meth:`~repro.gpusim.cost_model.PipelineCostModel.suggest_chunk_size`
-        and :meth:`~repro.gpusim.cost_model.PipelineCostModel.max_input_for_device`,
-        so the dormant convenience API plans real inputs, not just the
-        paper's datasets.
-        """
-        columns = max(1, self.num_columns)
-        record_bytes = max(1.0, self.avg_record_bytes)
-        states = max(1, self.num_states)
-        default_tag = self.record_tag_bytes
-
-        def factory(input_bytes: int, chunk_size: int = 31,
-                    record_tag_bytes: float | None = None) -> WorkloadStats:
-            records = max(1, round(input_bytes / record_bytes))
-            return WorkloadStats(
-                input_bytes=input_bytes, chunk_size=chunk_size,
-                num_states=states, num_columns=columns,
-                num_records=records, num_fields=records * columns,
-                numeric_field_fraction=self.numeric_fraction,
-                record_tag_bytes=default_tag if record_tag_bytes is None
-                else record_tag_bytes,
-                name="probe")
-
-        return factory
 
 
 def _as_bytes(data) -> bytes:
@@ -146,15 +95,11 @@ def probe_input(data, options: ParseOptions | None = None,
     """
     options = options if options is not None else ParseOptions()
     total = len(data) if not isinstance(data, np.ndarray) else int(data.size)
-    tag_bytes = _TAG_BYTES[options.tagging_mode]
-    num_states = options.resolved_dfa().num_states
     if total == 0:
         return InputStats(
             input_bytes=0, sample_bytes=0, dialect=options.dialect,
             sniffed_agrees=True, num_columns=1, records_sampled=0,
-            avg_record_bytes=1.0, fields_per_byte=0.0, quote_rate=0.0,
-            numeric_fraction=0.0, num_states=num_states,
-            record_tag_bytes=tag_bytes)
+            avg_record_bytes=1.0, numeric_fraction=0.0)
 
     sample = _as_bytes(data[:sample_bytes])
     if total > len(sample):
@@ -202,13 +147,8 @@ def probe_input(data, options: ParseOptions | None = None,
         columns, numeric_fraction = 1, 0.0
 
     avg_record = len(sample) / rows if rows else float(len(sample))
-    quote = options.dialect.quote
-    quote_rate = sample.count(quote) / len(sample) if quote else 0.0
     return InputStats(
         input_bytes=total, sample_bytes=len(sample),
         dialect=options.dialect, sniffed_agrees=sniffed_agrees,
         num_columns=columns, records_sampled=rows,
-        avg_record_bytes=avg_record,
-        fields_per_byte=columns / avg_record if avg_record else 0.0,
-        quote_rate=quote_rate, numeric_fraction=numeric_fraction,
-        num_states=num_states, record_tag_bytes=tag_bytes)
+        avg_record_bytes=avg_record, numeric_fraction=numeric_fraction)

@@ -11,6 +11,8 @@
   Structurally identical to the GPU kernels; the oracle for
   :func:`repro.core.tagging.tag_global` and the ablation benchmark's
   comparison point.
+* :func:`symbol_ids` — a :class:`~repro.core.tagging.TagResult`'s
+  per-segment tags expanded to one record and one column per symbol.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ import numpy as np
 
 from repro.core.chunking import Chunking
 from repro.core.tagging import (TagResult, _delimiter_positions, _finalise,
-                                index_dtype)
+                                index_dtype, segment_lengths)
 from repro.dfa.automaton import Dfa, Emission
 from repro.errors import ParseError
 from repro.reference.core.offsets import compute_chunk_offsets
 
-__all__ = ["compute_emissions", "sweep_chunk_ids", "tag_chunked"]
+__all__ = ["compute_emissions", "sweep_chunk_ids", "tag_chunked",
+           "symbol_ids"]
 
 
 def compute_emissions(groups: np.ndarray, start_states: np.ndarray,
@@ -142,3 +145,11 @@ def tag_chunked(emissions: np.ndarray, final_state: int,
     return _finalise(emissions, final_state, delim_positions.astype(index),
                      record_ids[segment_starts].astype(index),
                      column_ids[segment_starts].astype(index))
+
+
+def symbol_ids(tags: TagResult) -> tuple[np.ndarray, np.ndarray]:
+    """``(record_ids, column_ids)``, each ``(n,)``: the record and column
+    of every symbol, expanded from the segments."""
+    lengths = segment_lengths(tags.delim_positions, tags.emissions.size)
+    return (np.repeat(tags.segment_records, lengths),
+            np.repeat(tags.segment_columns, lengths))

@@ -7,6 +7,8 @@ splitter worklist (at the <=32-state scale of dialect automata both
 halves of a split are enqueued rather than only the smaller one — the
 asymptotic trick matters at millions of states, not here), and
 :func:`same_partition` compares the two label vectors.
+:func:`is_canonical` checks that an automaton is its own canonical form
+(:func:`~repro.dfa.minimize.canonicalize` is idempotent).
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from collections import deque
 import numpy as np
 
 from repro.dfa.automaton import Dfa
-from repro.dfa.minimize import _dense_relabel, _seed_labels
+from repro.dfa.minimize import _dense_relabel, _seed_labels, canonicalize
 
-__all__ = ["hopcroft_partition", "same_partition"]
+__all__ = ["hopcroft_partition", "same_partition", "is_canonical"]
 
 
 def hopcroft_partition(dfa: Dfa) -> np.ndarray:
@@ -75,3 +77,17 @@ def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
     pairs = np.column_stack([a, b])
     return int(_dense_relabel(pairs).max()) == max(int(a.max()),
                                                    int(b.max()))
+
+
+def is_canonical(dfa: Dfa) -> bool:
+    """Whether ``dfa`` is its own canonical form (tables and maps; the
+    human-readable names are not compared)."""
+    canonical = canonicalize(dfa).dfa
+    return (canonical.num_states == dfa.num_states
+            and canonical.num_groups == dfa.num_groups
+            and canonical.start_state == dfa.start_state
+            and canonical.invalid_state == dfa.invalid_state
+            and canonical.accepting == dfa.accepting
+            and np.array_equal(canonical.symbol_groups, dfa.symbol_groups)
+            and np.array_equal(canonical.transitions, dfa.transitions)
+            and np.array_equal(canonical.emissions, dfa.emissions))

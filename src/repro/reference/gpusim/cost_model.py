@@ -3,10 +3,10 @@
 The reproduction has no GPU, so the benchmark harness regenerates the
 paper's figures from a model that converts *workload statistics* (input
 size, chunk size, dataset shape, tagging mode) into per-step durations on a
-:class:`~repro.gpusim.device.DeviceSpec`.  The model composes first
-principles (bandwidth × bytes moved, cycles × work items, fixed launch
-overheads, bank-conflict serialisation) with a handful of calibration
-constants fitted to the paper's reported measurements:
+:class:`~repro.reference.gpusim.device.DeviceSpec`.  The model composes
+first principles (bandwidth × bytes moved, cycles × work items, fixed
+launch overheads, bank-conflict serialisation) with a handful of
+calibration constants fitted to the paper's reported measurements:
 
 * ≈14.2 GB/s peak on-GPU rate for the yelp dataset at 512 MB (paper §5.1,
   Figure 10) with the step mix of Figure 9a;
@@ -31,14 +31,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.columnar.schema import DataType
+from repro.core.options import TaggingMode
 from repro.errors import SimulationError
-from repro.gpusim.device import DeviceSpec, TITAN_X_PASCAL
-from repro.gpusim.kernel import KernelLaunch, KernelModel
-from repro.gpusim.memory import GlobalMemoryModel, SharedMemoryModel
+from repro.reference.gpusim.device import DeviceSpec, TITAN_X_PASCAL
+from repro.reference.gpusim.kernel import KernelLaunch, KernelModel
+from repro.reference.gpusim.memory import (GlobalMemoryModel,
+                                          SharedMemoryModel)
 
 __all__ = ["WorkloadStats", "StepCosts", "PipelineCostModel"]
 
 MiB = 1024 ** 2
+
+#: Record-tag bytes moved per symbol by each tagging mode (Figure 11).
+RECORD_TAG_BYTES = {TaggingMode.TAGGED: 4.0, TaggingMode.INLINE: 0.0,
+                    TaggingMode.DELIMITED: 0.125}
 
 
 @dataclass(frozen=True)
@@ -95,20 +102,24 @@ class WorkloadStats:
             record_tag_bytes=record_tag_bytes, name="taxi")
 
     @staticmethod
-    def from_result(input_bytes: int, chunk_size: int, num_states: int,
-                    num_columns: int, num_records: int,
-                    numeric_columns: int,
-                    record_tag_bytes: float = 4.0,
-                    name: str = "measured") -> "WorkloadStats":
-        """Statistics of an actual parse (see ``ParseResult.stats()``)."""
-        fields = num_records * num_columns
-        frac = numeric_columns / num_columns if num_columns else 0.0
+    def from_result(result, name: str = "measured") -> "WorkloadStats":
+        """Statistics of an actual parse, a
+        :class:`~repro.core.result.ParseResult`."""
+        num_columns = max(1, result.table.num_columns)
+        num_records = max(1, result.num_rows)
+        # Every non-string column costs conversion work (bool included).
+        numeric = sum(1 for f in result.table.schema
+                      if f.dtype is not DataType.STRING)
+        options = result.options
         return WorkloadStats(
-            input_bytes=input_bytes, chunk_size=chunk_size,
-            num_states=num_states, num_columns=num_columns,
-            num_records=num_records, num_fields=fields,
-            numeric_field_fraction=frac,
-            record_tag_bytes=record_tag_bytes, name=name)
+            input_bytes=result.input_bytes,
+            chunk_size=options.chunk_size,
+            num_states=options.resolved_dfa().num_states,
+            num_columns=num_columns, num_records=num_records,
+            num_fields=num_records * num_columns,
+            numeric_field_fraction=numeric / num_columns,
+            record_tag_bytes=RECORD_TAG_BYTES[options.tagging_mode],
+            name=name)
 
 
 @dataclass
@@ -321,7 +332,7 @@ class PipelineCostModel:
         warp's threads all convert the same column) quantifies why
         ParPaRaw pays for the radix-sort partition.
         """
-        from repro.gpusim.warp import WarpExecutionModel
+        from repro.reference.gpusim.warp import WarpExecutionModel
         warp_model = WarpExecutionModel(self.device.warp_size)
         path_mix = {column: 1.0 / stats.num_columns
                     for column in range(stats.num_columns)}

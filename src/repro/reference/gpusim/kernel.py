@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.gpusim.device import DeviceSpec
+from repro.reference.gpusim.device import DeviceSpec
 
 __all__ = ["KernelLaunch", "KernelModel"]
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from repro.errors import SimulationError
-from repro.gpusim.device import DeviceSpec
+from repro.reference.gpusim.device import DeviceSpec
 
 __all__ = ["SharedMemoryModel", "GlobalMemoryModel"]
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import StreamingError
-from repro.gpusim.cost_model import PipelineCostModel, WorkloadStats
-from repro.gpusim.device import DeviceSpec, TITAN_X_PASCAL
+from repro.reference.gpusim.cost_model import PipelineCostModel, WorkloadStats
+from repro.reference.gpusim.device import DeviceSpec, TITAN_X_PASCAL
 from repro.obs.export import chrome_trace
 from repro.obs.trace import Span
 from repro.reference.streaming.buffers import DoubleBuffer

@@ -7,7 +7,7 @@ incomplete record over to the next partition — output is bit-identical
 to a batch parse (tested).
 
 The Figure 7 pipeline simulator, which schedules transfer-to-device,
-parse and transfer-back across partitions over the :mod:`repro.gpusim`
+parse and transfer-back across partitions over the Titan X
 cost model for Figures 12 and 13, is reference code:
 :mod:`repro.reference.streaming.pipeline`.
 """

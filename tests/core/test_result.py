@@ -4,7 +4,8 @@ import pytest
 
 from repro import ParPaRawParser, ParseOptions, TaggingMode
 from repro.columnar.table import Table
-from repro.gpusim.cost_model import PipelineCostModel
+from repro.reference.gpusim.cost_model import PipelineCostModel, \
+    WorkloadStats
 from repro.workloads import TAXI_SCHEMA, generate_taxi_like
 
 
@@ -37,7 +38,7 @@ class TestParseResult:
 class TestWorkloadStatsBridge:
     def test_shape_matches_parse(self, taxi_result):
         result, size = taxi_result
-        stats = result.workload_stats()
+        stats = WorkloadStats.from_result(result)
         assert stats.input_bytes == size
         assert stats.num_columns == 17
         assert stats.num_records == result.num_rows
@@ -48,18 +49,18 @@ class TestWorkloadStatsBridge:
     def test_feeds_cost_model(self, taxi_result):
         result, _ = taxi_result
         model = PipelineCostModel()
-        simulated = model.total_seconds(result.workload_stats())
+        simulated = model.total_seconds(WorkloadStats.from_result(result))
         assert simulated > 0
         # A 50 KB workload should be microseconds-scale on the GPU model.
         assert simulated < 1e-2
 
     def test_tagging_mode_affects_stats(self):
         data = generate_taxi_like(20_000, seed=11)
-        tagged = ParPaRawParser(ParseOptions(schema=TAXI_SCHEMA)) \
-            .parse(data).workload_stats()
-        inline = ParPaRawParser(ParseOptions(
+        tagged = WorkloadStats.from_result(
+            ParPaRawParser(ParseOptions(schema=TAXI_SCHEMA)).parse(data))
+        inline = WorkloadStats.from_result(ParPaRawParser(ParseOptions(
             schema=TAXI_SCHEMA,
-            tagging_mode=TaggingMode.INLINE)).parse(data).workload_stats()
+            tagging_mode=TaggingMode.INLINE)).parse(data))
         assert tagged.record_tag_bytes == 4.0
         assert inline.record_tag_bytes == 0.0
 

@@ -13,7 +13,7 @@ from repro.core.chunking import chunk_groups
 from repro.core.tagging import segment_lengths, tag_global
 from repro.reference.core.context import determine_contexts
 from repro.reference.core.tagging import compute_emissions, \
-    sweep_chunk_ids, tag_chunked
+    sweep_chunk_ids, symbol_ids, tag_chunked
 from repro.dfa.automaton import Emission
 from repro.dfa.csv import dialect_dfa
 from repro.dfa.dialects import Dialect
@@ -83,10 +83,10 @@ class TestGlobalTags:
     @settings(max_examples=120)
     def test_matches_reference(self, data, chunk_size):
         emissions, final, _, chunking, dfa = run_tagging(data, chunk_size)
-        tags = tag_global(emissions, final)
+        records, columns = symbol_ids(tag_global(emissions, final))
         exp_records, exp_columns = reference_tags(dfa, data)
-        assert tags.record_ids.tolist() == exp_records
-        assert tags.column_ids.tolist() == exp_columns
+        assert records.tolist() == exp_records
+        assert columns.tolist() == exp_columns
 
     def test_figure4_tags(self):
         """Bottom of Figure 4: column/record tags of the worked example."""
@@ -94,11 +94,12 @@ class TestGlobalTags:
                b'""Ribba"", black"\n'
         emissions, final, _, chunking, dfa = run_tagging(data, 10)
         tags = tag_global(emissions, final)
+        records, columns = symbol_ids(tags)
         # First record: '1941' col 0, '199.99' col 1, 'Bookcase' col 2.
-        assert tags.column_ids[:4].tolist() == [0] * 4
-        assert tags.column_ids[5:11].tolist() == [1] * 6
-        assert tags.record_ids[:23].tolist() == [0] * 23
-        assert tags.record_ids[23:30].tolist() == [1] * 7
+        assert columns[:4].tolist() == [0] * 4
+        assert columns[5:11].tolist() == [1] * 6
+        assert records[:23].tolist() == [0] * 23
+        assert records[23:30].tolist() == [1] * 7
         assert tags.num_records == 2
 
     def test_record_count_with_trailing(self):
@@ -131,7 +132,7 @@ class TestGlobalTags:
         emissions, final, _, _, _ = run_tagging(b"", 4)
         tags = tag_global(emissions, final)
         assert tags.num_records == 0
-        assert tags.record_ids.size == 0
+        assert symbol_ids(tags)[0].size == 0
 
 
 class TestChunkedEqualsGlobal:
@@ -141,8 +142,8 @@ class TestChunkedEqualsGlobal:
         emissions, final, _, chunking, _ = run_tagging(data, chunk_size)
         a = tag_global(emissions, final)
         b = tag_chunked(emissions, final, chunking)
-        assert a.record_ids.tolist() == b.record_ids.tolist()
-        assert a.column_ids.tolist() == b.column_ids.tolist()
+        for ids_a, ids_b in zip(symbol_ids(a), symbol_ids(b)):
+            assert ids_a.tolist() == ids_b.tolist()
         assert a.num_records == b.num_records
         assert a.has_trailing_record == b.has_trailing_record
         assert np.array_equal(a.delim_positions, b.delim_positions)
@@ -155,8 +156,8 @@ class TestChunkedEqualsGlobal:
                                                        chunk_size)
         a = tag_global(emissions, final)
         b = tag_chunked(emissions, final, chunking)
-        assert a.column_ids.tolist() == b.column_ids.tolist()
-        assert a.record_ids.tolist() == b.record_ids.tolist()
+        for ids_a, ids_b in zip(symbol_ids(a), symbol_ids(b)):
+            assert ids_a.tolist() == ids_b.tolist()
 
 
 class TestSegmentTags:

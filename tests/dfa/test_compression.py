@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dfa.compression import expand_table, group_symbols, is_minimal
+from repro.dfa.compression import group_symbols
 from repro.dfa.csv import dialect_dfa
 from repro.dfa.dialects import Dialect
 from repro.errors import DfaError
+from repro.reference.dfa.compression import expand_table, is_minimal
 
 
 class TestGroupSymbols:

@@ -27,12 +27,12 @@ from repro.dfa.minimize import (
     canonicalize,
     equivalent,
     included,
-    is_canonical,
     minimize,
     parallel_partition,
     structural_digest,
 )
-from repro.reference.dfa.minimize import hopcroft_partition, same_partition
+from repro.reference.dfa.minimize import (hopcroft_partition, is_canonical,
+                                          same_partition)
 ALL_DIALECTS = [
     Dialect(strip_carriage_return=False),
     Dialect.csv(),

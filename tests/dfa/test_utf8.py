@@ -21,7 +21,7 @@ class TestAutomaton:
         assert dfa.num_groups == 12
 
     def test_minimal(self):
-        from repro.dfa.compression import is_minimal
+        from repro.reference.dfa.compression import is_minimal
         assert is_minimal(utf8_validation_dfa())
 
 

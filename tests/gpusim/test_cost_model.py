@@ -8,9 +8,9 @@ figure has silently changed shape.
 
 import pytest
 
-from repro.gpusim.cost_model import PipelineCostModel, StepCosts, \
+from repro.reference.gpusim.cost_model import PipelineCostModel, StepCosts, \
     WorkloadStats
-from repro.gpusim.device import TITAN_X_PASCAL, V100
+from repro.reference.gpusim.device import TITAN_X_PASCAL, V100
 
 MiB = 1024 ** 2
 GB = 1e9

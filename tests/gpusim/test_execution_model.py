@@ -3,10 +3,11 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.gpusim.device import GTX_1080, TITAN_X_PASCAL, V100, DeviceSpec
-from repro.gpusim.kernel import KernelLaunch, KernelModel
-from repro.gpusim.memory import GlobalMemoryModel, SharedMemoryModel
-from repro.gpusim.warp import WarpExecutionModel
+from repro.reference.gpusim.device import (GTX_1080, TITAN_X_PASCAL, V100,
+                                          DeviceSpec)
+from repro.reference.gpusim.kernel import KernelLaunch, KernelModel
+from repro.reference.gpusim.memory import GlobalMemoryModel, SharedMemoryModel
+from repro.reference.gpusim.warp import WarpExecutionModel
 
 
 class TestDeviceSpec:

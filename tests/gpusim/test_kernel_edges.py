@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.gpusim.device import TITAN_X_PASCAL
-from repro.gpusim.kernel import KernelLaunch, KernelModel
+from repro.reference.gpusim.device import TITAN_X_PASCAL
+from repro.reference.gpusim.kernel import KernelLaunch, KernelModel
 
 
 class TestKernelLaunch:

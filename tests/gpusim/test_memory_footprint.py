@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.gpusim.cost_model import PipelineCostModel, WorkloadStats
-from repro.gpusim.device import TITAN_X_PASCAL
+from repro.reference.gpusim.cost_model import PipelineCostModel, WorkloadStats
+from repro.reference.gpusim.device import TITAN_X_PASCAL
 
 MB = 1024 ** 2
 GiB = 1024 ** 3

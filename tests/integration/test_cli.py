@@ -76,6 +76,18 @@ class TestParseCommand:
         assert "records:  3" in out
         assert "end state: EOR (ok)" in out
 
+    def test_plan_auto_prints_decision_and_same_rows(self, csv_file,
+                                                      capsys):
+        assert main(["parse", csv_file]) == 0
+        plain_out = capsys.readouterr().out
+        assert main(["parse", csv_file, "--plan", "auto"]) == 0
+        plan_line, rows = capsys.readouterr().out.split("\n", 1)
+        # An empty store prices every candidate alike: the configured
+        # chunk size wins the tie.
+        assert plan_line.startswith("plan: chunk=31 ")
+        assert "ms estimated" in plan_line
+        assert rows == plain_out
+
 
 class TestInferCommand:
     def test_inferred_types(self, tmp_path, capsys):

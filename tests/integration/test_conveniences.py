@@ -14,7 +14,7 @@ from repro import (
     parse_bytes,
 )
 from repro.errors import SchemaError, StreamingError
-from repro.gpusim.cost_model import PipelineCostModel, WorkloadStats
+from repro.reference.gpusim.cost_model import PipelineCostModel, WorkloadStats
 from repro.workloads import TAXI_SCHEMA, generate_taxi_like
 
 MB = 1024 ** 2

@@ -1,25 +1,29 @@
-"""Calibration store: monotone EWMA convergence and fingerprint sharing.
+"""Calibration store: measured seconds per byte, fallback chain, locking.
 
-Satellite (ISSUE 10): after ingesting synthetic obs timings,
-`estimate_cost` converges toward measured stage totals (the EWMA is
-monotone — each update moves the estimate toward the measurement and
-never overshoots), and serial vs sharded runs of the same workload
-calibrate the same fingerprint.
+After ingesting measurements, `estimate_cost` converges toward the
+measured rate (the EWMA is monotone — each update moves the estimate
+toward the measurement and never overshoots), concurrent observers lose
+no update, and serial vs sharded runs of the same workload calibrate the
+same fingerprint.
 """
+
+import json
+import sys
+import threading
 
 import pytest
 
 from repro import ParseOptions, SerialExecutor, ShardedExecutor
 from repro.core.parser import ParPaRawParser
-from repro.gpusim.cost_model import StepCosts
 from repro.obs import MetricsRegistry
 from repro.plan import CalibrationStore, Planner, config_key, probe_input
-from repro.plan.calibration import STEPS
+from repro.plan.calibration import STORE_WIDE
+from repro.reference.gpusim.cost_model import StepCosts
+from repro.utils.timing import StepTimer
 
-MEASURED_A = {"parse": 0.004, "scan": 0.001, "tag": 0.003,
-              "partition": 0.002, "convert": 0.002}
-MEASURED_B = {"parse": 0.020, "scan": 0.005, "tag": 0.015,
-              "partition": 0.010, "convert": 0.010}
+RATE_A = 4e-8    # seconds per input byte (~24 MiB/s)
+RATE_B = 2e-7    # ~5 MiB/s
+
 MODELLED = StepCosts(parse=0.001, scan=0.001, tag=0.001,
                      partition=0.001, convert=0.001)
 
@@ -30,48 +34,51 @@ def make_data(repeats: int = 800) -> bytes:
 
 
 class TestStore:
-    def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            CalibrationStore(alpha=0.0)
-        with pytest.raises(ValueError):
-            CalibrationStore(alpha=1.5)
-        assert CalibrationStore(alpha=1.0).alpha == 1.0
-
     def test_first_observation_is_exact(self):
         store = CalibrationStore()
-        store.observe("k", MEASURED_A, MODELLED)
-        applied = store.apply(MODELLED, "k")
-        assert applied.total == pytest.approx(sum(MEASURED_A.values()))
+        store.observe("fp|c16k4", "fp", RATE_A)
+        assert store.rate("fp|c16k4") == RATE_A
+        assert store.rate("fp") == RATE_A
+        assert store.rate() == RATE_A           # the store-wide entry
 
     def test_version_bumps_per_observation(self):
         store = CalibrationStore()
         assert store.version == 0
-        store.observe("k", MEASURED_A, MODELLED)
-        store.observe("k", MEASURED_A, MODELLED)
+        store.observe("fp|c16k4", "fp", RATE_A)
+        store.observe("fp|c16k4", "fp", RATE_A)
         assert store.version == 2
 
     def test_fallback_chain(self):
         store = CalibrationStore()
-        store.observe("workload", MEASURED_A, MODELLED)
-        assert store.scale("workload|c32k4", "parse",
-                           "workload") == pytest.approx(4.0)
-        assert store.scale("unknown", "parse") == 1.0
-        assert store.observed("workload")
-        assert not store.observed("unknown")
+        assert store.rate("anything") is None
+        store.observe("fp|c32k4", "fp", RATE_A)
+        store.observe("other|c32k4", "other", RATE_B)
+        # Config key first, then the fingerprint, then store-wide.
+        assert store.rate("fp|c32k4", "fp") == RATE_A
+        assert store.rate("fp|c64k1", "fp") == RATE_A
+        assert store.rate("new|c64k1", "new") \
+            == pytest.approx(0.5 * RATE_A + 0.5 * RATE_B)
+        assert store.observed("fp|c32k4")
+        assert not store.observed("fp|c64k1")
 
     def test_zero_and_missing_steps_skipped(self):
-        store = CalibrationStore()
-        store.observe("k", {"parse": 0.0, "scan": 0.002}, MODELLED)
-        assert store.scale("k", "parse") == 1.0    # 0 observation skipped
-        assert store.scale("k", "scan") == pytest.approx(2.0)
-        assert store.scale("k", "tag") == 1.0      # missing step skipped
+        """A parse with no timed steps (or zero seconds) calibrates
+        nothing: a zero rate would make every estimate free."""
+        planner = Planner()
+        result = ParPaRawParser(ParseOptions()).parse(make_data())
+        result.timer = StepTimer()
+        planner.observe(result)
+        result.timer.add("parse", 0.0)
+        planner.observe(result)
+        assert planner.store.version == 0
+        assert planner.store.snapshot() == {}
 
     def test_snapshot_is_json_friendly(self):
-        import json
         store = CalibrationStore()
-        store.observe("k", MEASURED_A, MODELLED)
+        store.observe("fp|c16k4", "fp", RATE_A)
         snapshot = store.snapshot()
         assert json.loads(json.dumps(snapshot)) == snapshot
+        assert set(snapshot) == {"fp|c16k4", "fp", STORE_WIDE}
 
     def test_config_key_buckets_chunks_by_power_of_two(self):
         assert config_key("fp", 60, 4) == config_key("fp", 33, 4)
@@ -79,52 +86,82 @@ class TestStore:
         # Chunk bucket and stride only: there is no partition dimension.
         assert config_key("fp", 64, 4) == "fp|c64k4"
 
+    def test_concurrent_observations_lose_no_update(self):
+        """Eight threads observe while others look up: every
+        read-modify-write of the averages and the version is locked."""
+        store = CalibrationStore()
+        threads_n, per_thread = 8, 500
+        observed: dict[str, list[float]] = {}
+
+        def hammer(t: int) -> None:
+            for i in range(per_thread):
+                rate = 1e-8 * (1 + (t * per_thread + i) % 97)
+                store.observe(f"fp{t % 2}|c16k{t}", f"fp{t % 2}", rate)
+                store.rate(f"fp{t % 2}|c16k{t}", f"fp{t % 2}")
+                store.snapshot()
+
+        for t in range(threads_n):
+            rates = [1e-8 * (1 + (t * per_thread + i) % 97)
+                     for i in range(per_thread)]
+            for key in (f"fp{t % 2}|c16k{t}", f"fp{t % 2}", STORE_WIDE):
+                observed.setdefault(key, []).extend(rates)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(t,))
+                       for t in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert store.version == threads_n * per_thread
+        snapshot = store.snapshot()
+        assert set(snapshot) == set(observed)
+        for key, rate in snapshot.items():
+            assert min(observed[key]) <= rate <= max(observed[key]), key
+
 
 class TestMonotoneConvergence:
     def test_ewma_converges_monotonically(self):
-        """Under a constant observed workload each update moves the
-        scale toward the measured ratio and never overshoots."""
-        store = CalibrationStore(alpha=0.5)
-        store.observe("k", MEASURED_A, MODELLED)   # warm start, ratios A
-        target = MEASURED_B["parse"] / MODELLED.parse
-        previous_error = abs(store.scale("k", "parse") - target)
+        """Under a constant measured rate each update moves the average
+        toward it and never overshoots."""
+        store = CalibrationStore()
+        store.observe("k", "fp", RATE_A)   # warm start
+        previous_error = abs(store.rate("k") - RATE_B)
         for _ in range(8):
-            store.observe("k", MEASURED_B, MODELLED)
-            scale = store.scale("k", "parse")
-            error = abs(scale - target)
-            assert error <= previous_error + 1e-15
+            store.observe("k", "fp", RATE_B)
+            error = abs(store.rate("k") - RATE_B)
+            assert error <= previous_error
             previous_error = error
-        assert previous_error < 0.01 * target
+        assert previous_error < 0.01 * RATE_B
 
     def test_estimate_cost_converges_to_measured_totals(self):
         planner = Planner()
         data = make_data()
-        decision = planner.plan(data)
-        fingerprint = decision.fingerprint
+        fingerprint = planner.plan(data).fingerprint
         base = ParseOptions()
-        target = sum(MEASURED_B.values())
-        # Warm-start with different timings, then feed a constant
-        # measured workload: the calibrated estimate must walk toward
-        # the measured total monotonically.
-        for key in (fingerprint,):
-            planner.store.observe(key, MEASURED_A, MODELLED)
+        key = config_key(fingerprint, base.chunk_size,
+                         base.resolved_stride())
+        target = len(data) * RATE_B
+        # Warm-start with a different rate, then feed a constant measured
+        # rate: the estimate must walk toward it monotonically.
+        planner.store.observe(key, fingerprint, RATE_A)
         previous_error = abs(
             planner.estimate_cost(len(data), base,
                                   fingerprint=fingerprint) - target)
         for _ in range(8):
-            stats = decision.stats
-            # Model prediction for the exact config estimate_cost prices.
-            stride = base.resolved_stride()
-            modelled = planner._modelled(stats, len(data),
-                                         base.chunk_size, stride)
-            key = config_key(fingerprint, base.chunk_size, stride)
-            planner.store.observe(key, MEASURED_B, modelled)
+            planner.store.observe(key, fingerprint, RATE_B)
             estimate = planner.estimate_cost(len(data), base,
                                              fingerprint=fingerprint)
+            assert estimate == pytest.approx(
+                len(data) * planner.store.rate(key))
             error = abs(estimate - target)
-            assert error <= previous_error + 1e-12
+            assert error <= previous_error + 1e-15
             previous_error = error
-        assert previous_error < 0.05 * target
+        assert previous_error < 0.01 * target
 
 
 class TestFingerprintSharing:
@@ -142,9 +179,9 @@ class TestFingerprintSharing:
         fp_sharded = planner.observe(sharded)
         assert fp_serial == fp_sharded
         assert planner.store.observed(fp_serial)
-        # Two parses, each calibrating both granularities (per-config
-        # key + bare fingerprint).
-        assert planner.store.version == 4
+        # Two parses, one observation each (config key, fingerprint and
+        # store-wide entry updated together).
+        assert planner.store.version == 2
 
     def test_probe_fingerprint_matches_observed_fingerprint(self):
         """The probe's fingerprint (planning) and the result's
@@ -167,6 +204,7 @@ class TestFingerprintSharing:
         config_keys = [k for k in snapshot if k.startswith(fingerprint)
                        and "|" in k]
         assert config_keys, "per-configuration entry missing"
+        assert STORE_WIDE in snapshot
 
 
 class TestObsPlumbing:
@@ -190,10 +228,14 @@ class TestObsPlumbing:
             assert stage in totals, f"stage.{stage}.seconds missing"
 
     def test_step_seconds_cover_calibration_steps(self):
+        """The calibrated rate is the timer total over the input bytes;
+        the total covers every paper step."""
         result = ParPaRawParser(ParseOptions()).parse(make_data())
         measured = result.step_seconds()
-        for step in STEPS:
+        for step in ("parse", "scan", "tag", "partition", "convert"):
             assert step in measured
+        assert result.timer.total() == pytest.approx(
+            sum(measured.values()))
 
     def test_scaled_step_costs(self):
         scaled = MODELLED.scaled({"parse": 2.0, "tag": 3.0})

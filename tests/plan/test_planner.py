@@ -1,11 +1,12 @@
-"""The self-tuning planner: probe, candidate scoring, decisions, wiring.
+"""The self-tuning planner: probe, candidate pricing, decisions, wiring.
 
-Covers the static half of the tentpole (ISSUE 10): `probe_input`
-statistics, fingerprint stability, feasibility filtering against the
-table budget, loser rationale, `plan="auto"` end-to-end equivalence,
-`plan.*` spans/metrics, and the satellite pinning the dormant
-`suggest_chunk_size` / `max_input_for_device` conveniences on the paper
-workload factories.
+Covers `probe_input` statistics, fingerprint stability, feasibility
+filtering against the table budget, loser rationale, the tie rule (an
+uncalibrated planner runs the unplanned configuration), refinement onto
+the lowest measured rate, `plan="auto"` end-to-end equivalence,
+`plan.*` spans/metrics, and the Titan X model's `suggest_chunk_size` /
+`max_input_for_device` conveniences pinned on the paper workload
+factories.
 """
 
 import numpy as np
@@ -13,13 +14,14 @@ import pytest
 
 from repro import Dialect, ParseOptions, parse_bytes
 from repro.errors import ParseError
-from repro.gpusim.cost_model import PipelineCostModel, StepCosts, \
-    WorkloadStats
+from repro.kernels.strided import SUPPORTED_STRIDES
 from repro.obs import MetricsRegistry, Tracer
 from repro.plan import InputStats, Planner, config_key, probe_input
-from repro.kernels.strided import SUPPORTED_STRIDES
-from repro.plan.planner import CHUNK_CANDIDATES, WORKERS_INPUT_THRESHOLD
+from repro.plan.planner import CHUNK_CANDIDATES, DEFAULT_SECONDS_PER_BYTE, \
+    WORKERS_INPUT_THRESHOLD
 from repro.plan.stats import workload_fingerprint
+from repro.reference.gpusim.cost_model import PipelineCostModel, \
+    WorkloadStats
 
 CSV = b"id,price,name\n1,2.50,ash\n2,3.75,birch\n3,1.25,cedar\n"
 
@@ -35,7 +37,6 @@ class TestProbe:
         assert stats.num_columns == 3
         assert stats.records_sampled > 100
         assert 8.0 < stats.avg_record_bytes < 20.0
-        assert stats.quote_rate == 0.0
         assert stats.input_bytes == len(make_data())
 
     def test_probe_is_bounded(self):
@@ -69,14 +70,6 @@ class TestProbe:
         assert not stats.sniffed_agrees
         assert stats.dialect.delimiter == b"|"
 
-    def test_stats_factory_matches_workload_shape(self):
-        stats = probe_input(make_data())
-        ws = stats.workload(1_000_000, chunk_size=31)
-        assert isinstance(ws, WorkloadStats)
-        assert ws.num_columns == 3
-        assert ws.input_bytes == 1_000_000
-        assert ws.num_fields == ws.num_records * 3
-
 
 class TestDecision:
     def test_infeasible_strides_kept_with_reason(self):
@@ -84,7 +77,7 @@ class TestDecision:
         infeasible = [c for c in decision.candidates if not c.feasible]
         assert infeasible, "quoted CSV k=8 should blow the 4 MiB budget"
         assert all("table budget" in c.reason for c in infeasible)
-        assert all(c.modelled_seconds is None for c in infeasible)
+        assert all(c.estimated_seconds is None for c in infeasible)
         assert decision.winner.feasible
 
     def test_every_loser_has_a_reason(self):
@@ -114,24 +107,14 @@ class TestDecision:
     def test_candidates_are_chunks_times_strides(self):
         """Every parse partitions with field runs, so the knob space is
         chunk size x stride, each pair scored (or ruled out) once."""
-        planner = Planner()
         base = ParseOptions()
-        decision = planner.plan(make_data(), base)
-        suggested = planner.model.suggest_chunk_size(
-            decision.stats.stats_factory(), decision.stats.input_bytes)
-        chunks = {base.chunk_size, suggested, *CHUNK_CANDIDATES}
+        decision = Planner().plan(make_data(), base)
+        chunks = {base.chunk_size, *CHUNK_CANDIDATES}
         strides = {*SUPPORTED_STRIDES, 1}
         assert len(decision.candidates) == len(chunks) * len(strides)
         assert {(c.chunk_size, c.stride) for c in decision.candidates} \
             == {(chunk, k) for chunk in chunks for k in strides}
         assert "partition_strategy" not in decision.as_dict()["chosen"]
-
-    def test_suggested_chunk_size_is_a_candidate(self):
-        planner = Planner()
-        decision = planner.plan(make_data())
-        suggested = planner.model.suggest_chunk_size(
-            decision.stats.stats_factory(), decision.stats.input_bytes)
-        assert suggested in {c.chunk_size for c in decision.candidates}
 
     def test_workers_recommendation_scales_with_input(self):
         import os
@@ -145,9 +128,42 @@ class TestDecision:
         assert decision.workers == min(4, os.cpu_count() or 1)
         assert any("shard workers" in note for note in decision.notes)
 
-    def test_device_ceiling_reported(self):
-        decision = Planner().plan(make_data())
-        assert decision.device_ceiling_bytes > decision.stats.input_bytes
+    @pytest.mark.parametrize("options", [
+        ParseOptions(), ParseOptions(chunk_size=48, infer_types=True),
+        ParseOptions(kernel_stride=2),
+        ParseOptions(dialect=Dialect.pipe()),
+    ])
+    def test_empty_store_plans_the_unplanned_configuration(self, options):
+        """Every candidate prices at the prior, so the tie rule picks the
+        configured chunk size and the stride a plain parse resolves."""
+        decision = Planner().plan(make_data(), options)
+        assert decision.chosen == options.with_(
+            plan=None, kernel_stride=options.resolved_stride())
+        assert not decision.calibrated
+        assert decision.estimated_seconds == pytest.approx(
+            len(make_data()) * DEFAULT_SECONDS_PER_BYTE)
+
+    def test_unmeasured_never_beats_the_best_measured(self):
+        """A low fingerprint average must not make an unmeasured
+        candidate cheaper than every measured one."""
+        planner = Planner()
+        data = make_data()
+        fingerprint = planner.plan(data).fingerprint
+        slow = config_key(fingerprint, 64, 1)
+        fast = config_key(fingerprint, 128, 1)
+        planner.store.observe(slow, fingerprint, 4e-7)
+        planner.store.observe(fast, fingerprint, 2e-7)
+        planner.store.observe(slow, fingerprint, 1e-8)
+        # slow averages 2.05e-7, the fingerprint 1.55e-7 < fast's 2e-7.
+        assert planner.store.rate(fingerprint) < planner.store.rate(fast)
+        decision = planner.plan(data)
+        assert decision.calibrated
+        assert (decision.winner.chunk_size, decision.winner.stride) \
+            == (128, 1)
+        measured = min(c.estimated_seconds for c in decision.candidates
+                       if c.calibrated)
+        assert all(c.estimated_seconds >= measured
+                   for c in decision.candidates if c.feasible)
 
     def test_rationale_and_dict_round_trip(self):
         decision = Planner().plan(make_data())
@@ -187,14 +203,12 @@ class TestAutoParse:
         data = make_data()
         first = planner.plan(data)
         loser = next(c for c in first.candidates
-                     if c.feasible and not c.chosen)
-        # Plant overwhelming evidence that one loser is much faster.
+                     if c.feasible and c.chunk_size == 128)
+        # Plant evidence that one loser is much faster than the prior.
         key = config_key(first.fingerprint, loser.chunk_size,
                          loser.stride)
-        planner.store.observe(
-            key, {s: 1e-9 for s in ("parse", "scan", "tag", "partition",
-                                    "convert")},
-            StepCosts(1.0, 1.0, 1.0, 1.0, 1.0))
+        planner.store.observe(key, first.fingerprint,
+                              DEFAULT_SECONDS_PER_BYTE / 1000)
         second = planner.plan(data)
         assert second.chosen != first.chosen
         assert metrics.counters["plan.replans"] == 1
@@ -208,6 +222,19 @@ class TestAutoParse:
                     if c.feasible and c.calibrated]
         assert len(explored) >= 3
         assert decision.calibrated
+
+    def test_refine_picks_the_lowest_measured_rate(self):
+        planner = Planner()
+        data = make_data(2000)
+        decision = planner.refine(data, rounds=3)
+        rates = {(c.chunk_size, c.stride): planner.store.rate(
+                     config_key(decision.fingerprint, c.chunk_size,
+                                c.stride))
+                 for c in decision.candidates if c.calibrated}
+        winner = decision.winner
+        assert winner.calibrated
+        assert rates[(winner.chunk_size, winner.stride)] == min(
+            rates.values())
 
     def test_shared_default_planner_used_for_auto(self):
         import repro.plan as plan_pkg
@@ -226,11 +253,20 @@ class TestEstimateCost:
         assert 0.0 < small < large
 
     def test_estimate_without_history_uses_generic_shape(self):
-        assert Planner().estimate_cost(10_000_000) > 0.0
+        """No measurement yet: the estimate is the prior rate."""
+        assert Planner().estimate_cost(10_000_000) == pytest.approx(
+            10_000_000 * DEFAULT_SECONDS_PER_BYTE)
+
+    def test_estimate_uses_the_store_wide_rate(self):
+        planner = Planner()
+        parse_bytes(make_data(), ParseOptions(), planner=planner)
+        rate = planner.store.rate()
+        assert planner.estimate_cost(1_000_000) == pytest.approx(
+            1_000_000 * rate)
 
 
 class TestDormantConveniences:
-    """Satellite: pin the cost-model conveniences on the paper factories."""
+    """Pin the Titan X model's conveniences on the paper factories."""
 
     def test_suggest_chunk_size_yelp_pinned(self):
         model = PipelineCostModel()
@@ -250,13 +286,6 @@ class TestDormantConveniences:
             WorkloadStats.yelp_like) == 700_805_387
         assert model.max_input_for_device(
             WorkloadStats.taxi_like) == 605_233_242
-
-    def test_planner_wires_both(self):
-        """The planner consults both conveniences on every decision."""
-        decision = Planner().plan(make_data())
-        assert decision.device_ceiling_bytes > 0
-        chunks = {c.chunk_size for c in decision.candidates}
-        assert 63 in chunks  # the model's suggestion joined the ladder
 
 
 class TestOptionsValidation:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import StreamingError
-from repro.gpusim.cost_model import WorkloadStats
+from repro.reference.gpusim.cost_model import WorkloadStats
 from repro.reference.streaming.buffers import DoubleBuffer
 from repro.reference.streaming.pcie import PcieLink
 from repro.reference.streaming.pipeline import StreamingPipeline

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpusim.cost_model import WorkloadStats
+from repro.reference.gpusim.cost_model import WorkloadStats
 from repro.reference.streaming.pipeline import (
     RESOURCES,
     PipelineSchedule,

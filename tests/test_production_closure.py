@@ -28,6 +28,7 @@ PRODUCTION_IMPORTS = ("repro", "repro.__main__", "repro.serve",
 #: ``__init__``s or top-level imports before they moved.
 FORMER_PRODUCTION_MODULES = ("repro.scan.hillis_steele",
                              "repro.gpusim.mfira",
+                             "repro.gpusim.cost_model",
                              "repro.streaming.pipeline",
                              "repro.core.offsets")
 

@@ -17,7 +17,7 @@ class TestTopLevelApi:
 
     @pytest.mark.parametrize("module", [
         "repro.core", "repro.dfa", "repro.exec", "repro.obs", "repro.scan",
-        "repro.gpusim", "repro.streaming", "repro.baselines",
+        "repro.plan", "repro.streaming", "repro.baselines",
         "repro.workloads", "repro.columnar", "repro.utils",
         "repro.reference", "repro.__main__",
     ])
@@ -27,7 +27,7 @@ class TestTopLevelApi:
 
     @pytest.mark.parametrize("module", [
         "repro.core", "repro.dfa", "repro.exec", "repro.obs", "repro.scan",
-        "repro.gpusim", "repro.streaming", "repro.baselines",
+        "repro.plan", "repro.streaming", "repro.baselines",
         "repro.workloads", "repro.columnar", "repro.utils",
         "repro.reference",
     ])
